@@ -72,6 +72,8 @@ pub enum AudioError {
     BadMagic(u32),
     /// Stream ended prematurely.
     Truncated(OutOfBitsError),
+    /// A frame header claims fewer than the two granules synthesis needs.
+    BadGranules(usize),
 }
 
 impl core::fmt::Display for AudioError {
@@ -85,6 +87,9 @@ impl core::fmt::Display for AudioError {
             }
             AudioError::BadMagic(m) => write!(f, "bad magic {m:#x}"),
             AudioError::Truncated(e) => write!(f, "truncated stream: {e}"),
+            AudioError::BadGranules(n) => {
+                write!(f, "frame claims {n} granules; synthesis needs at least 2")
+            }
         }
     }
 }
@@ -306,9 +311,16 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedAudio, AudioError> {
     let n_frames = r.read_bits(16)? as usize;
     let sample_rate = r.read_bits(32)? as f64;
     let fb = Filterbank::new();
-    let mut samples = Vec::with_capacity(n_frames * FRAME_SAMPLES);
+    // The frame count is a header claim; every frame header carries at
+    // least a granule count and 10 bits per band, so reserve no more
+    // frames than the remaining bits can hold.
+    let reserve = n_frames.min(r.remaining() / (8 + 10 * BANDS));
+    let mut samples = Vec::with_capacity(reserve * FRAME_SAMPLES);
     for _ in 0..n_frames {
         let n_granules = r.read_bits(8)? as usize;
+        if n_granules < 2 {
+            return Err(AudioError::BadGranules(n_granules));
+        }
         let mut bits = [0u8; BANDS];
         for b in &mut bits {
             *b = r.read_bits(4)? as u8;
@@ -492,6 +504,23 @@ mod tests {
             decode(&[0, 0, 0, 0]),
             Err(AudioError::BadMagic(0))
         ));
+    }
+
+    #[test]
+    fn granule_count_below_two_is_an_error_not_a_panic() {
+        let stream = AudioEncoder::new(AudioConfig::default())
+            .encode(&music(1))
+            .unwrap();
+        // The first frame's 8-bit granule count follows the 64-bit
+        // stream header.
+        for n in [0u8, 1] {
+            let mut bytes = stream.bytes.clone();
+            bytes[8] = n;
+            assert_eq!(
+                decode(&bytes).unwrap_err(),
+                AudioError::BadGranules(n as usize)
+            );
+        }
     }
 
     #[test]

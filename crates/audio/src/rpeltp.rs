@@ -38,6 +38,8 @@ pub enum SpeechError {
     Truncated(OutOfBitsError),
     /// Bad stream magic.
     BadMagic(u32),
+    /// A subframe's long-term lag is above [`MAX_LAG`].
+    BadLag(usize),
 }
 
 impl core::fmt::Display for SpeechError {
@@ -48,6 +50,7 @@ impl core::fmt::Display for SpeechError {
             }
             SpeechError::Truncated(e) => write!(f, "truncated stream: {e}"),
             SpeechError::BadMagic(m) => write!(f, "bad magic {m:#x}"),
+            SpeechError::BadLag(l) => write!(f, "long-term lag {l} exceeds {MAX_LAG}"),
         }
     }
 }
@@ -373,7 +376,10 @@ impl RpeLtp {
             return Err(SpeechError::BadMagic(magic));
         }
         let n_frames = r.read_bits(16)? as usize;
-        let mut out = Vec::with_capacity(n_frames * FRAME);
+        // The frame count is a header claim; every frame carries at least
+        // its LPC coefficients, so reserve no more frames than the
+        // remaining bits can hold.
+        let mut out = Vec::with_capacity(n_frames.min(r.remaining() / (6 * LPC_ORDER)) * FRAME);
         let mut residual_history = vec![0.0f64; MAX_LAG];
         let mut st_memory = [0.0f64; LPC_ORDER];
 
@@ -385,6 +391,11 @@ impl RpeLtp {
             let mut frame_residual = Vec::with_capacity(FRAME);
             for _ in 0..4 {
                 let lag = r.read_bits(7)? as usize + MIN_LAG;
+                // The history always holds MAX_LAG samples; a longer lag
+                // would index before its start.
+                if lag > MAX_LAG {
+                    return Err(SpeechError::BadLag(lag));
+                }
                 let gain = dequant_gain(r.read_bits(2)?);
                 let phase = r.read_bits(2)? as usize;
                 let max_dq = dequant_max(r.read_bits(6)?);
@@ -545,6 +556,19 @@ mod tests {
             RpeLtp::new().decode(&[1, 2, 3]),
             Err(SpeechError::BadMagic(_)) | Err(SpeechError::Truncated(_))
         ));
+    }
+
+    #[test]
+    fn out_of_range_lag_is_an_error_not_a_panic() {
+        let (speech, _) = SignalGen::new(25).speech_sentence(8000.0, 2 * FRAME);
+        let mut bytes = RpeLtp::new().encode(&speech).unwrap().bytes;
+        // The first subframe's 7-bit lag field starts at bit 80 (32-bit
+        // header, 8 six-bit LPC codes); all ones is lag 127 + MIN_LAG.
+        bytes[10] |= 0xFE;
+        assert_eq!(
+            RpeLtp::new().decode(&bytes).unwrap_err(),
+            SpeechError::BadLag(127 + MIN_LAG)
+        );
     }
 
     #[test]

@@ -145,14 +145,26 @@ impl<'a> BitReader<'a> {
                 remaining: self.remaining(),
             });
         }
-        let mut out = 0u32;
-        for _ in 0..count {
-            let byte = self.bytes[self.cursor / 8];
-            let bit = (byte >> (7 - (self.cursor % 8))) & 1;
-            out = (out << 1) | bit as u32;
-            self.cursor += 1;
+        let w = self.window();
+        self.cursor += count as usize;
+        // The top `count` bits; two shifts so that `count == 0` works.
+        Ok((w >> 32 >> (32 - count)) as u32)
+    }
+
+    /// The eight bytes from the cursor's byte on (zero past the end),
+    /// shifted so the bit under the cursor is the most significant: at
+    /// least 57 bits, enough for any read.
+    fn window(&self) -> u64 {
+        let i = self.cursor / 8;
+        let mut bytes = [0u8; 8];
+        match self.bytes.get(i..i + 8) {
+            Some(full) => bytes.copy_from_slice(full),
+            None => {
+                let tail = &self.bytes[i..];
+                bytes[..tail.len()].copy_from_slice(tail);
+            }
         }
-        Ok(out)
+        u64::from_be_bytes(bytes) << (self.cursor % 8)
     }
 
     /// Reads one bit.
@@ -161,7 +173,15 @@ impl<'a> BitReader<'a> {
     ///
     /// Returns [`OutOfBitsError`] at end of stream.
     pub fn read_bit(&mut self) -> Result<bool, OutOfBitsError> {
-        Ok(self.read_bits(1)? == 1)
+        let Some(&byte) = self.bytes.get(self.cursor / 8) else {
+            return Err(OutOfBitsError {
+                requested: 1,
+                remaining: 0,
+            });
+        };
+        let bit = (byte >> (7 - self.cursor % 8)) & 1;
+        self.cursor += 1;
+        Ok(bit == 1)
     }
 }
 
@@ -233,5 +253,78 @@ mod tests {
         r.read_bits(10).unwrap();
         assert_eq!(r.position(), 10);
         assert_eq!(r.remaining(), 22);
+    }
+
+    /// Bit-at-a-time reference read of `count` bits from `cursor`:
+    /// the value and the new cursor, or the error `read_bits` must give.
+    fn reference_read(
+        bytes: &[u8],
+        cursor: usize,
+        count: u32,
+    ) -> Result<(u32, usize), OutOfBitsError> {
+        let remaining = bytes.len() * 8 - cursor;
+        if count as usize > remaining {
+            return Err(OutOfBitsError {
+                requested: count,
+                remaining,
+            });
+        }
+        let mut out = 0u32;
+        for i in cursor..cursor + count as usize {
+            out = (out << 1) | ((bytes[i / 8] >> (7 - i % 8)) & 1) as u32;
+        }
+        Ok((out, cursor + count as usize))
+    }
+
+    #[test]
+    fn chunked_reads_match_bit_serial_reference() {
+        // Every width 0..=32 at every bit offset 0..7 of buffers of 0..=13
+        // bytes: reads with a full 8-byte window, reads near the end, and
+        // reads that meet the end of the stream.
+        let pattern = [
+            0xA5u8, 0x3C, 0xFF, 0x01, 0x96, 0x00, 0x7E, 0xC3, 0x5A, 0x81, 0x24, 0xE7, 0x18,
+        ];
+        for len in 0..=pattern.len() {
+            let bytes = &pattern[..len];
+            for offset in 0..8usize.min(len * 8 + 1) {
+                for count in 0..=32u32 {
+                    let mut r = BitReader::new(bytes);
+                    r.read_bits(offset as u32).unwrap();
+                    let expect = reference_read(bytes, offset, count);
+                    let got = r.read_bits(count).map(|v| (v, r.position()));
+                    assert_eq!(got, expect, "len {len} offset {offset} count {count}");
+                    if expect.is_err() {
+                        assert_eq!(r.position(), offset, "a failed read consumes nothing");
+                    }
+                }
+                let mut r = BitReader::new(bytes);
+                r.read_bits(offset as u32).unwrap();
+                let expect = reference_read(bytes, offset, 1).map(|(v, _)| v == 1);
+                assert_eq!(
+                    r.read_bit(),
+                    expect,
+                    "read_bit at len {len} offset {offset}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_read_sequences_match_reference() {
+        let bytes: Vec<u8> = (0u32..23).map(|i| (i * 0x9E + 0x37) as u8).collect();
+        for start in 0..33u32 {
+            let mut r = BitReader::new(&bytes);
+            let mut cursor = 0;
+            let mut count = start;
+            loop {
+                let expect = reference_read(&bytes, cursor, count);
+                assert_eq!(r.read_bits(count).map(|v| (v, r.position())), expect);
+                match expect {
+                    Ok((_, next)) => cursor = next,
+                    Err(_) => break,
+                }
+                count = (count * 7 + 5) % 33;
+            }
+        }
     }
 }

@@ -109,9 +109,11 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedSequence, DecodeError> {
     let ac_code = HuffmanCode::read_table(&mut r)?;
 
     let dct = Dct2d::new();
-    let mut frames: Vec<Frame> = Vec::with_capacity(frame_count);
-    let mut kinds = Vec::with_capacity(frame_count);
-    let mut reference: Option<Frame> = None;
+    // The count is a header claim; every frame costs at least its 8-bit
+    // header, so reserve no more frames than the remaining bits can hold.
+    let reserve = frame_count.min(r.remaining() / 8);
+    let mut frames: Vec<Frame> = Vec::with_capacity(reserve);
+    let mut kinds = Vec::with_capacity(reserve);
     let mut idct_blocks = 0u64;
     let mut mc_pixels = 0u64;
 
@@ -158,9 +160,9 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedSequence, DecodeError> {
         let quant = Quantizer::from_quality_with_matrix(quality, matrix)
             .map_err(|e| DecodeError::BadQuality(e.0))?;
 
-        // Borrowed views of the reference frame's planes (no copies).
-        let ref_planes = reference
-            .as_ref()
+        // Borrowed views of the previous frame's planes (no copies).
+        let ref_planes = frames
+            .last()
             .map(|f| [f.luma_plane(), f.cb_plane(), f.cr_plane()]);
 
         let mut out_planes: Vec<Plane8> = Vec::with_capacity(3);
@@ -179,45 +181,15 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedSequence, DecodeError> {
                     let diff = read_amplitude(&mut r, size)?;
                     let dc = prev_dc + diff as i16;
                     prev_dc = dc;
-                    // AC events until EOB or 63 coefficients.
-                    let mut events = Vec::new();
-                    let mut coeffs_seen = 0usize;
-                    loop {
-                        let sym = ac_code.decode(&mut r)?;
-                        let ev = if sym == 0x00 {
-                            RleEvent::EndOfBlock
-                        } else if sym == 0xF0 {
-                            RleEvent::ZeroRunLength
-                        } else {
-                            let size = (sym & 0x0F) as u32;
-                            let amp = read_amplitude(&mut r, size)?;
-                            rle::event_from_symbol(sym, amp)
-                        };
-                        match ev {
-                            RleEvent::EndOfBlock => {
-                                events.push(ev);
-                                break;
-                            }
-                            RleEvent::ZeroRunLength => {
-                                coeffs_seen += 16;
-                                events.push(ev);
-                            }
-                            RleEvent::Run { run, .. } => {
-                                coeffs_seen += run as usize + 1;
-                                events.push(ev);
-                            }
-                        }
-                        if coeffs_seen > 63 {
-                            return Err(DecodeError::BadBlock);
-                        }
-                        if coeffs_seen == 63 {
-                            break;
-                        }
-                    }
-                    let mut scanned = rle::decode_ac(&events).map_err(|_| DecodeError::BadBlock)?;
-                    scanned[0] = dc;
-                    let levels = zigzag::unscan(&scanned);
-                    let coeffs = quant.dequantize(&levels);
+                    let mut coeffs = [0.0f64; BLOCK * BLOCK];
+                    coeffs[0] = dc as f64 * quant.step(0);
+                    let ac_coded = read_ac(&mut r, &ac_code, &quant, &mut coeffs)?;
+                    let coded = dc != 0 || ac_coded;
+                    // A block whose levels are all zero skips the inverse
+                    // transform: the butterfly maps zeros to ±0.0 and
+                    // adding ±0.0 leaves a pixel unchanged, so the block
+                    // is the prediction (P) or the plane's mid-grey fill
+                    // (I). It still counts as an IDCT block for E3.
                     idct_blocks += 1;
                     if predicted {
                         let rp = &ref_planes.as_ref().ok_or(DecodeError::BadBlock)?[pi];
@@ -236,12 +208,16 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedSequence, DecodeError> {
                             &mut pred,
                         );
                         mc_pixels += (BLOCK * BLOCK) as u64;
-                        let res = dct.inverse(&coeffs);
-                        for (o, (&p, &rv)) in rec.iter_mut().zip(pred.iter().zip(res.iter())) {
-                            *o = (p as f64 + rv).round().clamp(0.0, 255.0) as u8;
+                        if coded {
+                            let res = dct.inverse(&coeffs);
+                            for (o, (&p, &rv)) in rec.iter_mut().zip(pred.iter().zip(res.iter())) {
+                                *o = (p as f64 + rv).round().clamp(0.0, 255.0) as u8;
+                            }
+                            plane.set_block(bx * BLOCK, by * BLOCK, BLOCK, &rec);
+                        } else {
+                            plane.set_block(bx * BLOCK, by * BLOCK, BLOCK, &pred);
                         }
-                        plane.set_block(bx * BLOCK, by * BLOCK, BLOCK, &rec);
-                    } else {
+                    } else if coded {
                         let rec = dct.inverse_to_pixels(&coeffs);
                         plane.set_block(bx * BLOCK, by * BLOCK, BLOCK, &rec);
                     }
@@ -254,7 +230,6 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedSequence, DecodeError> {
         let y = out_planes.pop().expect("three planes");
         let frame = Frame::from_planes(w, h, y.into_data(), cb.into_data(), cr.into_data())
             .map_err(|_| DecodeError::BadDimensions)?;
-        reference = Some(frame.clone());
         frames.push(frame);
         kinds.push(kind);
     }
@@ -265,6 +240,55 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedSequence, DecodeError> {
         idct_blocks,
         mc_pixels,
     })
+}
+
+/// Reads one block's AC symbols, until EOB or the 63rd coefficient, and
+/// writes each dequantised level into its row-major slot of `coeffs`.
+/// Other slots are left alone: quantiser steps are positive, so a zero
+/// level dequantises to the +0.0 they already hold. Returns whether any
+/// level was nonzero.
+///
+/// # Errors
+///
+/// [`DecodeError::BadBlock`] if the symbols describe more than 63
+/// coefficients, or once the block is read if a run carried a zero level,
+/// which the encoder never emits.
+fn read_ac(
+    r: &mut BitReader<'_>,
+    ac_code: &HuffmanCode,
+    quant: &Quantizer,
+    coeffs: &mut [f64; BLOCK * BLOCK],
+) -> Result<bool, DecodeError> {
+    let mut coded = false;
+    let mut zero_level = false;
+    let mut seen = 0usize;
+    loop {
+        let sym = ac_code.decode(r)?;
+        let amplitude = read_amplitude(r, rle::amplitude_bits(sym))?;
+        match rle::event_from_symbol(sym, amplitude) {
+            RleEvent::EndOfBlock => break,
+            RleEvent::ZeroRunLength => seen += 16,
+            RleEvent::Run { run, level } => {
+                seen += run as usize + 1;
+                if seen <= 63 {
+                    let i = zigzag::ZIGZAG[seen];
+                    coeffs[i] = level as f64 * quant.step(i);
+                }
+                zero_level |= level == 0;
+                coded |= level != 0;
+            }
+        }
+        if seen > 63 {
+            return Err(DecodeError::BadBlock);
+        }
+        if seen == 63 {
+            break;
+        }
+    }
+    if zero_level {
+        return Err(DecodeError::BadBlock);
+    }
+    Ok(coded)
 }
 
 fn sign_extend_6(v: u32) -> i32 {
@@ -279,9 +303,11 @@ fn sign_extend_6(v: u32) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitstream::{write_amplitude, BitWriter};
     use crate::encoder::{Encoder, EncoderConfig};
     use crate::synth::SequenceGen;
     use signal::metrics::psnr_u8;
+    use signal::rng::Xoroshiro128;
 
     fn round_trip(config: EncoderConfig, n: usize) -> (Vec<Frame>, DecodedSequence, f64) {
         let frames = SequenceGen::new(55).panning_sequence(64, 48, n, 2, 1);
@@ -381,6 +407,109 @@ mod tests {
             enc.tally.me_pixel_ops,
             decoder_ops
         );
+    }
+
+    #[test]
+    fn zero_level_run_is_a_bad_block() {
+        // One 16x16 intra frame whose first block carries AC symbol 0x10
+        // (run 1, size 0): a run ending in a zero level, which the
+        // encoder never emits.
+        let dc = HuffmanCode::from_lengths(vec![1]).unwrap();
+        let mut ac_lengths = vec![0u8; 256];
+        ac_lengths[0x00] = 1;
+        ac_lengths[0x10] = 1;
+        let ac = HuffmanCode::from_lengths(ac_lengths).unwrap();
+        let mut w = BitWriter::new();
+        w.write_bits(MAGIC, 16);
+        w.write_bits(1, 8);
+        w.write_bits(1, 8);
+        w.write_bits(1, 16);
+        dc.write_table(&mut w);
+        ac.write_table(&mut w);
+        w.write_bit(false);
+        w.write_bits(50, 7);
+        dc.encode(&mut w, 0).unwrap();
+        ac.encode(&mut w, 0x10).unwrap();
+        ac.encode(&mut w, 0x00).unwrap();
+        assert_eq!(decode(&w.into_bytes()).unwrap_err(), DecodeError::BadBlock);
+    }
+
+    #[test]
+    fn read_ac_matches_rle_oracle() {
+        // Event streams from the encoder's run-length coder, and random
+        // ones that may overflow the block or carry a zero level, read by
+        // `read_ac` and by the whole-block oracle: `rle::decode_ac`, then
+        // `zigzag::unscan`, then `Quantizer::dequantize`.
+        let ac_code = HuffmanCode::from_lengths(vec![8; 256]).unwrap();
+        let quant = Quantizer::from_quality_with_matrix(40, &BASE_MATRIX).unwrap();
+        let mut rng = Xoroshiro128::new(12);
+        let level = |rng: &mut Xoroshiro128| {
+            let v = rng.range_i64(1, 300) as i16;
+            if rng.chance(0.5) {
+                v
+            } else {
+                -v
+            }
+        };
+        for case in 0..4000 {
+            let events = if case % 2 == 0 {
+                let density = rng.range_f64(0.0, 0.5);
+                let mut block = [0i16; BLOCK * BLOCK];
+                for slot in block.iter_mut().skip(1) {
+                    if rng.chance(density) {
+                        *slot = level(&mut rng);
+                    }
+                }
+                rle::encode_ac(&block)
+            } else {
+                // Random events up to where the decoder stops reading:
+                // EOB or the 63rd coefficient.
+                let mut events = Vec::new();
+                let mut seen = 0;
+                while seen < 63 {
+                    let ev = match rng.below(12) {
+                        0 => RleEvent::EndOfBlock,
+                        1 => RleEvent::ZeroRunLength,
+                        _ => {
+                            let run = rng.below(16) as u8;
+                            // A zero level codes as size 0, which for
+                            // runs 0 and 15 is EOB or ZRL instead.
+                            let zero = (1..15).contains(&run) && rng.chance(0.05);
+                            let level = if zero { 0 } else { level(&mut rng) };
+                            RleEvent::Run { run, level }
+                        }
+                    };
+                    events.push(ev);
+                    match ev {
+                        RleEvent::EndOfBlock => break,
+                        RleEvent::ZeroRunLength => seen += 16,
+                        RleEvent::Run { run, .. } => seen += run as usize + 1,
+                    }
+                }
+                events
+            };
+            let mut w = BitWriter::new();
+            for ev in &events {
+                ac_code.encode(&mut w, rle::event_symbol(ev)).unwrap();
+                if let Some((v, size)) = rle::event_amplitude(ev) {
+                    write_amplitude(&mut w, v, size);
+                }
+            }
+            let bits = w.bit_len();
+            let bytes = w.into_bytes();
+            let mut r = BitReader::new(&bytes);
+            let mut coeffs = [0.0; BLOCK * BLOCK];
+            let got = read_ac(&mut r, &ac_code, &quant, &mut coeffs);
+            match rle::decode_ac(&events) {
+                Ok(scanned) => {
+                    let levels = zigzag::unscan(&scanned);
+                    assert_eq!(got, Ok(levels.iter().any(|&l| l != 0)), "{events:?}");
+                    assert_eq!(coeffs, quant.dequantize(&levels), "{events:?}");
+                    assert_eq!(r.position(), bits, "{events:?}");
+                }
+                Err(_) => assert_eq!(got, Err(DecodeError::BadBlock), "{events:?}"),
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,15 @@
 //! Paper §3: *"Lossless encoding, particularly Huffman-style encoding, is
 //! used to remove entropy from the final data stream sent to the
 //! decoder."* This is that box. Codes are canonical, so only the code
-//! lengths travel in the stream header; both video and audio framers use
-//! this module.
+//! lengths travel in the stream header. The video entropy coder is the
+//! only user: the audio framer packs fixed-width codes straight through
+//! [`signal::bits`].
+//!
+//! Decoding is table-driven, as in zlib's `puff`: the codewords of one
+//! length are consecutive integers, so one compare per bit read decides
+//! whether the bits so far form a codeword and, if so, index the symbol
+//! directly. The cost of a symbol is its code length, independent of the
+//! alphabet size.
 
 use std::collections::BinaryHeap;
 
@@ -74,6 +81,11 @@ pub struct HuffmanCode {
     lengths: Vec<u8>,
     /// Canonical codeword per symbol (valid when length > 0).
     codes: Vec<u32>,
+    /// Number of codewords of each length (index 0 unused). A complete
+    /// 16-bit code has 65,536 of one length, one more than `u16` holds.
+    counts: [u32; MAX_LEN as usize + 1],
+    /// Used symbols in canonical (length, symbol) order.
+    sorted: Vec<u16>,
 }
 
 #[derive(PartialEq, Eq)]
@@ -197,16 +209,24 @@ impl HuffmanCode {
         let mut symbols: Vec<usize> = (0..lengths.len()).filter(|&i| lengths[i] > 0).collect();
         symbols.sort_by_key(|&s| (lengths[s], s));
         let mut codes = vec![0u32; lengths.len()];
+        let mut counts = [0u32; MAX_LEN as usize + 1];
         let mut code = 0u32;
         let mut prev_len = lengths[symbols[0]] as u32;
         for &s in &symbols {
             let l = lengths[s] as u32;
             code <<= l - prev_len;
             codes[s] = code;
+            counts[l as usize] += 1;
             code += 1;
             prev_len = l;
         }
-        Ok(Self { lengths, codes })
+        let sorted = symbols.iter().map(|&s| s as u16).collect();
+        Ok(Self {
+            lengths,
+            codes,
+            counts,
+            sorted,
+        })
     }
 
     /// The code-length table (index = symbol).
@@ -243,14 +263,42 @@ impl HuffmanCode {
         Ok(())
     }
 
-    /// Decodes one symbol.
+    /// Decodes one symbol, reading exactly its codeword's bits.
     ///
     /// # Errors
     ///
-    /// Returns [`HuffmanError::OutOfBits`] or [`HuffmanError::BadCode`].
+    /// Returns [`HuffmanError::OutOfBits`] if the stream ends mid-codeword,
+    /// or [`HuffmanError::BadCode`] once 17 bits match no codeword.
     pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u16, HuffmanError> {
-        // Canonical decoding: accumulate bits, compare against per-length
-        // first-code values. Linear in code length (<=16) — fine here.
+        // `code` holds the bits read so far; `first` is the smallest
+        // codeword of the current length and `index` its position in
+        // `sorted`. Codewords of one length are consecutive, so the bits
+        // form a codeword iff `code - first < count`.
+        let mut code = 0u32;
+        let mut first = 0u32;
+        let mut index = 0usize;
+        for &count in &self.counts[1..] {
+            code |= r.read_bit()? as u32;
+            if code - first < count {
+                return Ok(self.sorted[index + (code - first) as usize]);
+            }
+            index += count as usize;
+            first = (first + count) << 1;
+            code <<= 1;
+        }
+        // No codeword is longer than 16 bits, but a 17th bit is read
+        // before giving up: a bad code leaves the reader, and reports
+        // running out of bits, where the stream format always has.
+        r.read_bit()?;
+        Err(HuffmanError::BadCode)
+    }
+
+    /// The linear-scan decoder the tables replaced: after every bit it
+    /// searches the alphabet for a symbol with that (length, code). Kept
+    /// as the oracle the table-driven [`HuffmanCode::decode`] is pinned
+    /// against.
+    #[cfg(test)]
+    fn decode_linear(&self, r: &mut BitReader<'_>) -> Result<u16, HuffmanError> {
         let mut code = 0u32;
         let mut len = 0u32;
         loop {
@@ -259,8 +307,6 @@ impl HuffmanCode {
             if len > MAX_LEN {
                 return Err(HuffmanError::BadCode);
             }
-            // Scan for a symbol with this (length, code). Alphabets here
-            // are <=512 symbols; a scan per bit keeps the table simple.
             for (s, &l) in self.lengths.iter().enumerate() {
                 if l as u32 == len && self.codes[s] == code {
                     return Ok(s as u16);
@@ -286,7 +332,9 @@ impl HuffmanCode {
     /// Returns [`HuffmanError`] on truncated input or an invalid table.
     pub fn read_table(r: &mut BitReader<'_>) -> Result<Self, HuffmanError> {
         let n = r.read_bits(16)? as usize;
-        let mut lengths = Vec::with_capacity(n);
+        // The count is a header claim: reserve no more lengths than the
+        // remaining bits can hold.
+        let mut lengths = Vec::with_capacity(n.min(r.remaining() / 5));
         for _ in 0..n {
             lengths.push(r.read_bits(5)? as u8);
         }
@@ -330,6 +378,8 @@ pub fn entropy_bits(freqs: &[u64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use signal::rng::Xoroshiro128;
 
     #[test]
     fn round_trip_random_symbols() {
@@ -457,5 +507,138 @@ mod tests {
         let a = HuffmanCode::from_frequencies(&freqs).unwrap();
         let b = HuffmanCode::from_frequencies(&freqs).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn full_16_bit_code_round_trips() {
+        // 65,536 equal frequencies: every codeword is 16 bits long.
+        let code = HuffmanCode::from_frequencies(&vec![1; 1 << 16]).unwrap();
+        assert!(code.lengths().iter().all(|&l| l == 16));
+        let symbols = [0u16, 1, 0x7FFF, 0x8000, 12_345, u16::MAX];
+        let mut w = BitWriter::new();
+        for &s in &symbols {
+            code.encode(&mut w, s).unwrap();
+        }
+        let bytes = w.into_bytes();
+        let mut r = BitReader::new(&bytes);
+        for &s in &symbols {
+            assert_eq!(code.decode(&mut r), Ok(s));
+        }
+        assert_eq!(
+            code.decode(&mut r),
+            Err(HuffmanError::OutOfBits(OutOfBitsError {
+                requested: 1,
+                remaining: 0
+            }))
+        );
+    }
+
+    /// A valid length table of one of four shapes: random lengths with
+    /// the Kraft overflow dropped (usually incomplete), an optimal code
+    /// for skewed frequencies, a single symbol, or a 16-bit-deep chain.
+    fn length_table(shape: u8, alphabet: usize, rng: &mut Xoroshiro128) -> Vec<u8> {
+        let mut lengths = vec![0u8; alphabet];
+        match shape {
+            0 => {
+                let mut kraft = 0u64;
+                for l in &mut lengths {
+                    let want = rng.below(MAX_LEN as u64 + 1) as u8;
+                    let cost = if want == 0 {
+                        0
+                    } else {
+                        1u64 << (MAX_LEN - want as u32)
+                    };
+                    if kraft + cost <= 1 << MAX_LEN {
+                        kraft += cost;
+                        *l = want;
+                    }
+                }
+                if kraft == 0 {
+                    lengths[0] = 1;
+                }
+            }
+            1 => {
+                let freqs: Vec<u64> = (0..alphabet)
+                    .map(|_| {
+                        let f = 1u64 << rng.below(24);
+                        if rng.below(4) == 0 {
+                            0
+                        } else {
+                            f
+                        }
+                    })
+                    .collect();
+                return match HuffmanCode::from_frequencies(&freqs) {
+                    Ok(code) => code.lengths,
+                    Err(_) => length_table(2, alphabet, rng),
+                };
+            }
+            2 => lengths[rng.below(alphabet as u64) as usize] = 1 + rng.below(16) as u8,
+            _ => {
+                // Lengths 1, 2, ..., 16, 16 on random symbols; dropping
+                // one leaves an incomplete code.
+                let mut syms: Vec<usize> = (0..alphabet).collect();
+                for (i, l) in (1..=16u8).chain([16]).enumerate() {
+                    if syms.is_empty() {
+                        break;
+                    }
+                    let s = syms.swap_remove(rng.below(syms.len() as u64) as usize);
+                    if i != 5 || rng.below(2) == 0 {
+                        lengths[s] = l;
+                    }
+                }
+            }
+        }
+        lengths
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The table-driven decoder returns exactly what the linear scan
+        /// returns — symbol, `BadCode` after 17 bits, or `OutOfBits` with
+        /// the same counts — and leaves the reader at the same position,
+        /// on valid, truncated and garbage bit strings.
+        #[test]
+        fn table_decode_matches_linear_oracle(
+            shape in 0u8..4,
+            alphabet in 1usize..300,
+            seed in any::<u64>(),
+            garbage in prop::collection::vec(any::<u8>(), 0..24),
+            message_len in 0usize..64,
+            cut_bits in 0usize..1200,
+        ) {
+            let mut rng = Xoroshiro128::new(seed);
+            let code = HuffmanCode::from_lengths(length_table(shape, alphabet, &mut rng)).unwrap();
+            // A valid message of used symbols, cut at an arbitrary bit,
+            // then garbage.
+            let used = &code.sorted;
+            let mut w = BitWriter::new();
+            for _ in 0..message_len {
+                code.encode(&mut w, used[rng.below(used.len() as u64) as usize]).unwrap();
+            }
+            let mut bytes = w.into_bytes();
+            let mut r = BitReader::new(&bytes);
+            let head = cut_bits.min(r.remaining());
+            let mut w = BitWriter::new();
+            for _ in 0..head / 32 {
+                w.write_bits(r.read_bits(32).unwrap(), 32);
+            }
+            w.write_bits(r.read_bits((head % 32) as u32).unwrap(), (head % 32) as u32);
+            bytes = w.into_bytes();
+            bytes.extend_from_slice(&garbage);
+            for stream in [&bytes[..], &garbage[..]] {
+                let mut fast = BitReader::new(stream);
+                let mut slow = BitReader::new(stream);
+                loop {
+                    let got = code.decode(&mut fast);
+                    prop_assert_eq!(&got, &code.decode_linear(&mut slow));
+                    prop_assert_eq!(fast.position(), slow.position());
+                    if got.is_err() {
+                        break;
+                    }
+                }
+            }
+        }
     }
 }

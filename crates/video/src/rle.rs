@@ -26,14 +26,16 @@ pub enum RleEvent {
 }
 
 /// Errors decoding a run-length event stream.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RleError {
+pub(crate) enum RleError {
     /// Events describe more than 63 AC coefficients.
     Overflow,
     /// A run event carried a zero level (forbidden; zero levels are runs).
     ZeroLevel,
 }
 
+#[cfg(test)]
 impl core::fmt::Display for RleError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
@@ -43,6 +45,7 @@ impl core::fmt::Display for RleError {
     }
 }
 
+#[cfg(test)]
 impl std::error::Error for RleError {}
 
 /// Encodes the 63 AC coefficients of a scanned block (`scanned[1..]`) into
@@ -85,12 +88,15 @@ pub fn encode_ac(scanned: &[i16]) -> Vec<RleEvent> {
 }
 
 /// Decodes run-length events back into the 63 AC coefficients, returning a
-/// full 64-slot scanned block with DC left as 0.
+/// full 64-slot scanned block with DC left as 0. The decoder reads events
+/// one at a time instead; this whole-block form is the oracle it is
+/// tested against.
 ///
 /// # Errors
 ///
 /// Returns [`RleError`] on malformed event streams.
-pub fn decode_ac(events: &[RleEvent]) -> Result<[i16; BLOCK * BLOCK], RleError> {
+#[cfg(test)]
+pub(crate) fn decode_ac(events: &[RleEvent]) -> Result<[i16; BLOCK * BLOCK], RleError> {
     let mut out = [0i16; BLOCK * BLOCK];
     let mut pos = 1usize; // AC coefficients start at index 1
     for ev in events {
@@ -137,6 +143,13 @@ pub fn event_amplitude(ev: &RleEvent) -> Option<(i32, u32)> {
         RleEvent::Run { level, .. } => Some((level as i32, size_category(level as i32))),
         _ => None,
     }
+}
+
+/// The number of amplitude bits that follow `symbol` in the stream: its
+/// size category, which is 0 for EOB and ZRL.
+#[must_use]
+pub fn amplitude_bits(symbol: u16) -> u32 {
+    (symbol & 0x0F) as u32
 }
 
 /// Reconstructs an event from its symbol and decoded amplitude.

@@ -29,13 +29,16 @@ pub fn scan(block: &[i16]) -> [i16; BLOCK * BLOCK] {
     out
 }
 
-/// Inverse of [`scan`]: restores row-major order.
+/// Inverse of [`scan`]: restores row-major order. The decoder places
+/// each level in its row-major slot as it reads it; this is the oracle it
+/// is tested against.
 ///
 /// # Panics
 ///
 /// Panics if `scanned.len() != 64`.
+#[cfg(test)]
 #[must_use]
-pub fn unscan(scanned: &[i16]) -> [i16; BLOCK * BLOCK] {
+pub(crate) fn unscan(scanned: &[i16]) -> [i16; BLOCK * BLOCK] {
     assert_eq!(scanned.len(), BLOCK * BLOCK, "expected an 8x8 block");
     let mut out = [0i16; BLOCK * BLOCK];
     for (k, &idx) in ZIGZAG.iter().enumerate() {
