@@ -3,8 +3,8 @@
 //!
 //! The retired quantum engine advanced **every** arrived session every
 //! quantum — O(ticks × population) — which capped capacity sweeps at a
-//! few thousand viewers. This engine spends per-quantum work on
-//! *cohorts* instead:
+//! few thousand viewers. This engine spends per-quantum work only on
+//! *cohorts* that have something to do:
 //!
 //! * **Cohorts.** Sessions whose entire dynamic state is value-identical
 //!   are one counted class. The fluid model has no per-session
@@ -16,17 +16,32 @@
 //!   rung switch — is exactly the per-session trajectory, and the edge
 //!   counters advance by counted arithmetic ([`SimEdge::request_n`]).
 //!   A flash crowd of 100k viewers landing on one tick is one actor.
+//!   Member groups inside a cohort keep per-arrival accounting (start
+//!   tick, departure tick, startup latency); a scheduled churn
+//!   departure folds its group into the report at the departure
+//!   quantum while the rest of the class keeps simulating.
 //! * **The calendar.** A binary-heap [`EventCalendar`] keyed on each
 //!   cohort's next discrete event (arrival, churn departure) drives the
 //!   clock: quanta where no cohort is active fast-forward straight to
 //!   the next event boundary instead of ticking through the gap, and
 //!   departures/arrivals touch only the cohort they name.
-//! * **Merge/split bookkeeping.** Cohorts whose states converge (same
-//!   edge, equal state) are merged into one class whose member groups
-//!   keep per-arrival accounting (start tick, departure tick, startup
-//!   latency); a scheduled churn departure *splits* its member group
-//!   back out of the class at the departure quantum, folding it into
-//!   the report while the rest of the class keeps simulating.
+//! * **Parking.** A *steady* cohort (started, its edge up, not waiting
+//!   on a fill, not publish-gated, no fault pressure) does only two
+//!   things per quantum: `remaining_bytes -= drain` at its edge's
+//!   shared rate, and an integer-valued playout drain. Steady cohorts
+//!   leave the per-quantum scan. Each edge counts its parked members
+//!   into its downlink share, logs every quantum's drain in a ring of
+//!   [`PARK_WINDOW`] entries, and keys each parked cohort on the
+//!   cumulative drain at which it may complete ([`wake_level`], which
+//!   errs early, never late). A woken cohort replays the logged drains
+//!   in order — bit for bit the iterated value — takes the skipped
+//!   playout in one step, and runs the ordinary quantum body in
+//!   cohort-id order with the scanned cohorts, so cache touches, fills
+//!   and shield requests keep their order. A departure naming a parked
+//!   cohort, any fault action, the end of the run, and [`PARK_WINDOW`]
+//!   quanta without a wake bring it back the same way. A viewer on a
+//!   warm tier costs about two touches per segment instead of one per
+//!   quantum.
 //! * **Fault replay.** A resolved [`crate::fault::FaultPlan`] schedules
 //!   its actions on the same event heap (sorting before same-tick
 //!   arrivals), so crashes, restarts, origin flaps, and degradation
@@ -50,7 +65,7 @@
 //! assert.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use signal::rng::splitmix64;
@@ -99,20 +114,35 @@ impl Hasher for SplitMixHasher {
 
 type CohortIndex = HashMap<(u64, usize, u32), u32, BuildHasherDefault<SplitMixHasher>>;
 
-/// How often the engine scans active cohorts for merge candidates.
-/// Merging is pure bookkeeping — it never changes report values (the
-/// merged class runs the identical operation sequence both classes
-/// would have run separately) — so the cadence only trades scan cost
-/// against how quickly converged classes collapse.
-const MERGE_EVERY: u64 = 16;
+/// Quanta a cohort may stay parked before it is woken whatever its
+/// prediction says. Each edge's drain log is a ring of this many
+/// entries, so parking holds O(edges × `PARK_WINDOW`) memory however
+/// long the run.
+pub(crate) const PARK_WINDOW: u64 = 256;
+
+/// Relative slack of [`wake_level`]. Between park and wake, at most
+/// `PARK_WINDOW` drains are summed twice: into the cohort's remaining
+/// bytes and into its edge's cumulative drain. Each rounding is within
+/// 2^-53 of a magnitude bounded by `drained + remaining + d_max`, and
+/// the level itself takes four more, so the two sums disagree by less
+/// than `(PARK_WINDOW + 2) * 2^-52` of that magnitude.
+const WAKE_SLACK: f64 = (PARK_WINDOW + 4) as f64 * f64::EPSILON;
+
+/// The cumulative edge drain at which a cohort parked with `remaining`
+/// bytes, when its edge had drained `drained` in total, may complete
+/// its segment under the `remaining <= eps` rule; `d_max` bounds one
+/// quantum's drain. The margin ([`WAKE_SLACK`]) makes the wake never
+/// late, and early by a sliver of a byte at most (the 10M-tick pin in
+/// `serve` checks both against the iterated drain).
+pub(crate) fn wake_level(drained: f64, remaining: f64, eps: f64, d_max: f64) -> f64 {
+    drained + (remaining - eps) - (drained + remaining + d_max) * WAKE_SLACK
+}
 
 /// The dynamic state every member of a cohort shares, bit for bit.
 /// This is the per-session engine's `SimSession` minus the per-member
 /// identity fields (`start_tick`, `depart_at`, `startup_ticks`), which
-/// live in [`MemberGroup`]s. Two cohorts may merge exactly when these
-/// compare equal (and they sit on the same edge): equality here means
-/// the members are indistinguishable to every future quantum.
-#[derive(Debug, Clone, PartialEq)]
+/// live in [`MemberGroup`]s.
+#[derive(Debug, Clone)]
 pub(crate) struct CohortState {
     pub(crate) abr: AbrController,
     pub(crate) seg: usize,
@@ -146,8 +176,7 @@ pub(crate) struct CohortState {
 /// Per-arrival accounting inside a cohort: `count` sessions that
 /// arrived at `start_tick`, depart (if churned) at `depart_at`, and —
 /// once the cohort starts playing — observed `startup_ticks` of
-/// startup delay. Groups are what a merge carries over and what a
-/// departure splits back out.
+/// startup delay. A departure folds its group out of the cohort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct MemberGroup {
     pub(crate) start_tick: u64,
@@ -171,17 +200,20 @@ pub(crate) struct Cohort {
     pub(crate) title: u32,
     /// Deterministic failover key on the consistent-hash ring (from the
     /// fault plan's seed). `0` on plan-free runs, where it is never
-    /// routed — and therefore never blocks a merge.
+    /// routed.
     pub(crate) ring_key: u64,
     pub(crate) members: Vec<MemberGroup>,
     pub(crate) state: CohortState,
     /// Cached member count (`members` group counts summed) — read every
-    /// quantum on the downlink-share pass, maintained on formation,
-    /// departure splits, and merges.
+    /// quantum on the downlink-share pass, maintained on formation and
+    /// departure splits.
     pub(crate) n: u64,
-    /// Every member folded into the report (completed, departed, or
-    /// merged away) — the engine never touches this cohort again.
+    /// Every member folded into the report (completed or departed) —
+    /// the engine never touches this cohort again.
     pub(crate) done: bool,
+    /// The quantum whose body this cohort last ran before it left the
+    /// scan as a steady downloader; `None` while it is scanned.
+    pub(crate) parked_at: Option<u64>,
 }
 
 impl Cohort {
@@ -232,9 +264,9 @@ impl EventCalendar {
 
     /// Whether any *future* departure still targets a live cohort
     /// (due events were popped already), for the stasis detector.
-    fn departure_pending(&self, cohorts: &[Cohort], alias: &[u32]) -> bool {
+    fn departure_pending(&self, cohorts: &[Cohort]) -> bool {
         self.heap.iter().any(|&Reverse((_, kind, cid))| {
-            kind == EventKind::Depart && !cohorts[resolve(alias, cid) as usize].done
+            kind == EventKind::Depart && !cohorts[cid as usize].done
         })
     }
 
@@ -246,15 +278,6 @@ impl EventCalendar {
             .iter()
             .any(|&Reverse((_, kind, _))| kind == EventKind::Fault)
     }
-}
-
-/// Follows merge redirections: events scheduled against a cohort that
-/// later merged into another must land on the surviving class.
-fn resolve(alias: &[u32], mut cid: u32) -> u32 {
-    while alias[cid as usize] != cid {
-        cid = alias[cid as usize];
-    }
-    cid
 }
 
 /// The first quantum boundary at or past `target`, starting from the
@@ -367,6 +390,18 @@ pub(crate) struct CohortRun {
     pub(crate) live: LiveStats,
     /// All zero on a plan-free run.
     pub(crate) resilience: ResilienceStats,
+    #[cfg(test)]
+    pub(crate) cost: EngineCost,
+}
+
+/// What a run cost the engine, for the tests that pin parking.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EngineCost {
+    /// Quantum bodies run, summed over cohorts.
+    pub(crate) touches: u64,
+    /// The longest per-edge drain log.
+    pub(crate) drain_log_len: usize,
 }
 
 /// Groups the arrival/departure schedule into cohorts keyed on
@@ -437,6 +472,7 @@ fn form_cohorts(
                     fault_rebuffer_ticks: 0,
                 },
                 done: false,
+                parked_at: None,
             });
             (cohorts.len() - 1) as u32
         });
@@ -456,100 +492,174 @@ fn form_cohorts(
     cohorts
 }
 
-/// Merges cohort `b` into `a` (same edge, equal state): member groups
-/// carry over, combining with any group they are indistinguishable
-/// from. `b` becomes a tombstone its pending calendar events redirect
-/// through.
-fn merge_into(cohorts: &mut [Cohort], a: u32, b: u32) {
-    debug_assert!(a != b);
-    debug_assert_eq!(cohorts[a as usize].edge, cohorts[b as usize].edge);
-    // Failover identity must match too: classes with different homes
-    // (or ring keys) would diverge again at the next fault event.
-    debug_assert_eq!(cohorts[a as usize].home_edge, cohorts[b as usize].home_edge);
-    debug_assert_eq!(cohorts[a as usize].title, cohorts[b as usize].title);
-    debug_assert_eq!(cohorts[a as usize].ring_key, cohorts[b as usize].ring_key);
-    debug_assert!(cohorts[a as usize].state == cohorts[b as usize].state);
-    let groups = std::mem::take(&mut cohorts[b as usize].members);
-    let moved = std::mem::take(&mut cohorts[b as usize].n);
-    cohorts[b as usize].done = true;
-    let target = &mut cohorts[a as usize];
-    target.n += moved;
-    for g in groups {
-        if let Some(g2) = target.members.iter_mut().find(|g2| {
-            g2.start_tick == g.start_tick
-                && g2.depart_at == g.depart_at
-                && g2.startup_ticks == g.startup_ticks
-        }) {
-            g2.count += g.count;
-        } else {
-            target.members.push(g);
+/// `ticks` of playout in one step. Exact for the per-quantum clamped
+/// drain, because buffer levels and quanta are integer-valued f64s: the
+/// buffer either survives the whole span or empties, entering rebuffer
+/// at the quantum it first ran dry.
+fn drain_playout(s: &mut CohortState, ticks: u64) {
+    let drain = ticks as f64;
+    if s.buffer_ticks >= drain {
+        s.buffer_ticks -= drain;
+    } else {
+        if !s.in_rebuffer {
+            s.in_rebuffer = true;
+            s.rebuffer_events += 1;
         }
+        s.buffer_ticks = 0.0;
     }
 }
 
-/// One merge sweep over the active set: bucket by a cheap integral key,
-/// then collapse classes whose full state compares equal. Report
-/// values are unaffected (see [`MERGE_EVERY`]); only the number of
-/// actors the next quanta touch shrinks.
-fn merge_converged(cohorts: &mut [Cohort], active: &mut Vec<u32>, alias: &mut [u32]) {
-    if active.len() < 2 {
-        return;
-    }
-    // Every field here must also be part of merge legality (the
-    // `CohortState` equality, plus the failover identity), so tighter
-    // bucketing never hides a legal merge — it only spares the
-    // full-state compare for classes that can't merge anyway (e.g.
-    // same-phase cohorts whose EWMA or buffer history differs).
-    // `home_edge`/`ring_key` are `(edge, 0)` on plan-free runs, so they
-    // split no bucket that the plan-free engine would have merged.
-    let cheap_key = |c: &Cohort| {
-        (
-            c.edge,
-            c.home_edge,
-            c.title,
-            c.ring_key,
-            c.state.seg,
-            c.state.rung,
-            c.state.fetched,
-            c.state.fetch_start,
-            c.state.delivered_bits,
-            c.state.buffer_ticks.to_bits(),
-            c.state.remaining_bytes.to_bits(),
-        )
-    };
-    let mut ids: Vec<u32> = active.clone();
-    ids.sort_by_key(|&cid| cheap_key(&cohorts[cid as usize]));
-    let mut merged_any = false;
-    let mut start = 0;
-    while start < ids.len() {
-        let mut end = start + 1;
-        while end < ids.len()
-            && cheap_key(&cohorts[ids[end] as usize]) == cheap_key(&cohorts[ids[start] as usize])
-        {
-            end += 1;
+/// The completion threshold of the segment a cohort is downloading.
+fn segment_eps(titles: &[Manifest], c: &Cohort) -> f64 {
+    let m = &titles[c.title as usize];
+    completion_eps(m.rungs[c.state.rung].segments[c.state.seg].bytes as f64)
+}
+
+/// The steady downloaders out of the per-quantum scan (see the module
+/// doc), with the per-edge drain history that brings them back.
+struct Parking {
+    /// Members parked on each edge; they count toward its downlink share.
+    steady_n: Vec<u64>,
+    /// Parked cohorts on all edges.
+    parked: usize,
+    /// Each edge's drain per quantum, a ring indexed by quantum modulo
+    /// [`PARK_WINDOW`].
+    log: Vec<Vec<f64>>,
+    /// Each edge's drains summed over every logged quantum.
+    drained: Vec<f64>,
+    /// Each edge's parked cohorts as `(wake level, cid, parked_at)`,
+    /// lowest level first. A level is the bit pattern of a
+    /// non-negative [`wake_level`]; those order like their values. An
+    /// entry is stale once its cohort is no longer parked at
+    /// `parked_at`.
+    wakes: Vec<BinaryHeap<Reverse<(u64, u32, u64)>>>,
+    /// `(parked_at, cid)` in park order, for the forced wake.
+    deadlines: VecDeque<(u64, u32)>,
+}
+
+impl Parking {
+    fn new(edges: usize) -> Self {
+        Self {
+            steady_n: vec![0; edges],
+            parked: 0,
+            log: vec![Vec::new(); edges],
+            drained: vec![0.0; edges],
+            wakes: vec![BinaryHeap::new(); edges],
+            deadlines: VecDeque::new(),
         }
-        if end - start > 1 {
-            // Within a bucket, the first cohort with each distinct full
-            // state is canonical; the rest merge into it.
-            let mut canon: Vec<u32> = Vec::new();
-            for &cid in &ids[start..end] {
-                match canon.iter().find(|&&a| {
-                    cohorts[a as usize].edge == cohorts[cid as usize].edge
-                        && cohorts[a as usize].state == cohorts[cid as usize].state
-                }) {
-                    Some(&a) => {
-                        merge_into(cohorts, a, cid);
-                        alias[cid as usize] = a;
-                        merged_any = true;
-                    }
-                    None => canon.push(cid),
+    }
+
+    /// Records quantum `t`'s per-edge drains.
+    fn log(&mut self, t: u64, drain: &[f64]) {
+        let i = (t % PARK_WINDOW) as usize;
+        for (e, &d) in drain.iter().enumerate() {
+            let ring = &mut self.log[e];
+            if i >= ring.len() {
+                ring.resize(i + 1, 0.0);
+            }
+            ring[i] = d;
+            self.drained[e] += d;
+        }
+    }
+
+    /// Takes a steady cohort out of the scan after its quantum-`t` body
+    /// ran.
+    fn park(&mut self, c: &mut Cohort, cid: u32, t: u64, eps: f64, d_max: f64) {
+        c.parked_at = Some(t);
+        self.steady_n[c.edge] += c.n;
+        self.parked += 1;
+        let level = wake_level(self.drained[c.edge], c.state.remaining_bytes, eps, d_max);
+        // A level at or below zero wakes at the next quantum, like zero.
+        let key = if level > 0.0 { level.to_bits() } else { 0 };
+        self.wakes[c.edge].push(Reverse((key, cid, t)));
+        self.deadlines.push_back((t, cid));
+    }
+
+    /// Brings a parked cohort back into the scan with its state as of
+    /// the start of quantum `t`: the logged drain of every quantum it
+    /// skipped, applied in order, then their playout in one step.
+    fn unpark(&mut self, c: &mut Cohort, t: u64, q: u64, titles: &[Manifest]) {
+        let t0 = c.parked_at.take().expect("only a parked cohort unparks");
+        self.steady_n[c.edge] -= c.n;
+        self.parked -= 1;
+        let eps = segment_eps(titles, c);
+        let ring = &self.log[c.edge];
+        let s = &mut c.state;
+        for skipped in t0 + 1..t {
+            s.remaining_bytes -= ring[(skipped % PARK_WINDOW) as usize];
+            debug_assert!(
+                s.remaining_bytes > eps,
+                "woken late: the segment completed in quantum {skipped}, before quantum {t}"
+            );
+        }
+        if s.playing {
+            drain_playout(s, (t - t0 - 1) * q);
+        }
+    }
+
+    /// Unparks, into `woken`, every cohort that may complete in quantum
+    /// `t` (its edge's drain, this quantum's included, reached its wake
+    /// level) or has been parked [`PARK_WINDOW`] quanta.
+    fn wake_due(
+        &mut self,
+        t: u64,
+        q: u64,
+        cohorts: &mut [Cohort],
+        titles: &[Manifest],
+        woken: &mut Vec<u32>,
+    ) {
+        for e in 0..self.wakes.len() {
+            while let Some(&Reverse((level, cid, t0))) = self.wakes[e].peek() {
+                if f64::from_bits(level) > self.drained[e] {
+                    break;
+                }
+                self.wakes[e].pop();
+                let c = &mut cohorts[cid as usize];
+                if c.parked_at == Some(t0) {
+                    self.unpark(c, t, q, titles);
+                    woken.push(cid);
                 }
             }
         }
-        start = end;
+        while let Some(&(t0, cid)) = self.deadlines.front() {
+            if t0 + PARK_WINDOW > t {
+                break;
+            }
+            self.deadlines.pop_front();
+            let c = &mut cohorts[cid as usize];
+            if c.parked_at == Some(t0) {
+                self.unpark(c, t, q, titles);
+                woken.push(cid);
+            }
+        }
     }
-    if merged_any {
-        active.retain(|&cid| !cohorts[cid as usize].done);
+
+    /// Unparks every parked cohort into `woken`, as of the start of
+    /// quantum `t`.
+    fn unpark_all(
+        &mut self,
+        t: u64,
+        q: u64,
+        cohorts: &mut [Cohort],
+        titles: &[Manifest],
+        woken: &mut Vec<u32>,
+    ) {
+        for (cid, c) in cohorts.iter_mut().enumerate() {
+            if c.parked_at.is_some() {
+                self.unpark(c, t, q, titles);
+                woken.push(cid as u32);
+            }
+        }
+        self.wakes.iter_mut().for_each(BinaryHeap::clear);
+        self.deadlines.clear();
+    }
+}
+
+/// Returns woken cohorts to the scan, which runs in cohort-id order.
+fn rejoin(active: &mut Vec<u32>, woken: &mut Vec<u32>) {
+    if !woken.is_empty() {
+        active.append(woken);
+        active.sort_unstable();
     }
 }
 
@@ -562,7 +672,7 @@ fn rehome(c: &mut Cohort, edge_up: &[bool], ring: &HashRing) -> u64 {
     let target = if edge_up[c.home_edge] {
         c.home_edge
     } else {
-        // All edges down leaves the class parked on its home edge.
+        // All edges down leaves the class stranded on its home edge.
         ring.route_alive(c.ring_key, edge_up).unwrap_or(c.home_edge)
     };
     if target == c.edge {
@@ -574,8 +684,8 @@ fn rehome(c: &mut Cohort, edge_up: &[bool], ring: &HashRing) -> u64 {
 
 /// Recomputes every edge's serving shield after the shield up/down set
 /// changed: home while the home shield is up (failback), else the
-/// first live shield clockwise from the edge's ring key — parked on
-/// the (down) home when every shield is down.
+/// first live shield clockwise from the edge's ring key — left on the
+/// (down) home when every shield is down.
 fn reroute_shields(
     edge_shield: &mut [usize],
     shield_up: &[bool],
@@ -685,8 +795,6 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
     for (ai, &(t, _)) in fault_actions.iter().enumerate() {
         cal.push(t, EventKind::Fault, ai as u32);
     }
-    let mut alias: Vec<u32> = (0..cohorts.len() as u32).collect();
-
     // Fault state. All of it is inert on a plan-free run: every edge
     // stays up, every scale stays exactly 1.0 (and `x * 1.0` is
     // IEEE-exact), so the plan-free trajectory is bit-identical.
@@ -729,6 +837,17 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
     // cohort creation order, exactly the oracle's session order.
     let mut active: Vec<u32> = Vec::with_capacity(cohorts.len());
     let mut downloading = vec![0u64; p.edges];
+    // This quantum's drain per edge: the one expression every download
+    // on the edge subtracts, parked or scanned.
+    let mut drain = vec![0.0f64; p.edges];
+    let mut parking = Parking::new(p.edges);
+    let mut woken: Vec<u32> = Vec::new();
+    let step = q as f64;
+    // One quantum's drain with no fault pressure (unit edge scale) and
+    // at least one downloader never exceeds this. An unbounded drain
+    // completes every download in one quantum: nothing parks.
+    let d_max = p.edge_capacity.min(p.per_session) * step;
+    let parkable = d_max.is_finite();
 
     // Graceful degradation folds into every rung pick: once fault
     // pressure has made a class rebuffer, it pins to the lowest rung
@@ -748,14 +867,21 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
     let mut last_first_seq = vec![0u64; titles.len()];
     let mut publish_wait_ticks = 0u64;
     let mut window_skips = 0u64;
+    #[cfg(test)]
+    let mut touches = 0u64;
     while alive > 0 && now < load.max_ticks {
         // Calendar events due this quantum: fault actions mutate the
         // tier; arrivals activate their cohort; a departure splits its
-        // member group out of the (possibly merged) class and folds it,
-        // departed, at the quantum it fell due — exactly the oracle's
-        // loop top.
+        // member group out of the class and folds it, departed, at the
+        // quantum it fell due — exactly the oracle's loop top.
         while let Some((tick, kind, cid)) = cal.pop_due(now) {
             if kind == EventKind::Fault {
+                // Re-homing and fault-pressure accounting see every
+                // class, with its state current, in the scan.
+                if parking.parked > 0 {
+                    parking.unpark_all(quanta, q, &mut cohorts, titles, &mut woken);
+                    rejoin(&mut active, &mut woken);
+                }
                 match fault_actions[cid as usize].1 {
                     FaultAction::EdgeDown(e) => {
                         if !edge_up[e] {
@@ -877,13 +1003,12 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                 }
                 continue;
             }
-            let cid = resolve(&alias, cid);
             let c = &mut cohorts[cid as usize];
             if c.done {
                 continue;
             }
             match kind {
-                EventKind::Fault => unreachable!("handled before cohort resolution"),
+                EventKind::Fault => unreachable!("handled before cohort lookup"),
                 EventKind::Arrive => {
                     if let Err(pos) = active.binary_search(&cid) {
                         active.insert(pos, cid);
@@ -897,6 +1022,11 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                     }
                 }
                 EventKind::Depart => {
+                    if c.parked_at.is_some() {
+                        parking.unpark(c, quanta, q, titles);
+                        let pos = active.binary_search(&cid).unwrap_err();
+                        active.insert(pos, cid);
+                    }
                     let mut folded = 0u64;
                     let state = &c.state;
                     c.members.retain(|g| {
@@ -919,7 +1049,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                 }
             }
         }
-        if active.is_empty() {
+        if active.is_empty() && parking.parked == 0 {
             // Idle fast-forward: jump to the quantum boundary of the
             // next calendar event (or the ceiling) — the boundary the
             // oracle's q-at-a-time idle ticking would reach. Fault
@@ -957,6 +1087,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             // pre-catalog condition (`seg > live` forces the published
             // prefix to be strictly shorter than the title).
             let idle_until_publish = !fault_active
+                && parking.parked == 0
                 && edges.iter().all(|e| e.fills.is_empty())
                 && shields.iter().all(|s| s.fills.is_empty())
                 && active.iter().all(|&cid| {
@@ -990,20 +1121,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                         let s = &mut c.state;
                         publish_wait_ticks += skipped * q * n;
                         if s.playing {
-                            // k clamped unit drains collapse to one:
-                            // the buffer either survives the whole jump
-                            // or empties (entering rebuffer at the
-                            // quantum it first ran dry).
-                            let drain = (skipped * q) as f64;
-                            if s.buffer_ticks >= drain {
-                                s.buffer_ticks -= drain;
-                            } else {
-                                if !s.in_rebuffer {
-                                    s.in_rebuffer = true;
-                                    s.rebuffer_events += 1;
-                                }
-                                s.buffer_ticks = 0.0;
-                            }
+                            drain_playout(s, skipped * q);
                         }
                     }
                     now = target;
@@ -1011,7 +1129,6 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                 }
             }
         }
-        let step = q as f64;
         let mut progressed = false;
 
         // Live DVR-window maintenance: segments that left the window
@@ -1195,11 +1312,11 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
         // waiters would oversubscribe the edge link. A publish-gated
         // cohort counts only if its segment is now live *and* already
         // cached (it will request and hit below).
-        downloading.iter_mut().for_each(|d| *d = 0);
+        downloading.copy_from_slice(&parking.steady_n);
         for &cid in &active {
             let c = &cohorts[cid as usize];
             if !edge_up[c.edge] {
-                // Parked (every edge down): nothing downloads.
+                // Stranded (every edge down): nothing downloads.
                 continue;
             }
             let s = &c.state;
@@ -1224,6 +1341,23 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                 downloading[c.edge] += c.count();
             }
         }
+        for (e, d) in drain.iter_mut().enumerate() {
+            let rate =
+                (p.edge_capacity * edge_scale[e] / downloading[e].max(1) as f64).min(p.per_session);
+            *d = rate * step;
+        }
+        // Parked cohorts download this quantum like any other; those
+        // that may complete now rejoin the scan before it runs.
+        if parking.parked > 0 {
+            progressed = true;
+            parking.log(quanta, &drain);
+            parking.wake_due(quanta, q, &mut cohorts, titles, &mut woken);
+            rejoin(&mut active, &mut woken);
+        }
+        #[cfg(test)]
+        {
+            touches += active.len() as u64;
+        }
 
         for &cid in &active {
             let Cohort {
@@ -1241,7 +1375,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             let m = &titles[title as usize];
             let nseg = seg_counts[title as usize];
             if !edge_up[edge] {
-                // Parked: every edge is down, failover had nowhere to
+                // Stranded: every edge is down, failover had nowhere to
                 // go. Playout keeps draining — members stall in place,
                 // all of it fault-attributed — but no request, fill,
                 // or download can move until a restart re-homes.
@@ -1385,9 +1519,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                     continue;
                 }
             }
-            let rate = (p.edge_capacity * edge_scale[edge] / downloading[edge].max(1) as f64)
-                .min(p.per_session);
-            s.remaining_bytes -= rate * step;
+            s.remaining_bytes -= drain[edge];
             progressed = true;
             let entry = &m.rungs[s.rung].segments[s.seg];
             if s.remaining_bytes > completion_eps(entry.bytes as f64) {
@@ -1468,7 +1600,22 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             }
             s.fetch_start = end;
         }
-        active.retain(|&cid| !cohorts[cid as usize].done);
+        // Finished classes leave the scan for good; steady ones park.
+        let park_now = parkable && !fault_active;
+        active.retain(|&cid| {
+            let c = &mut cohorts[cid as usize];
+            let s = &c.state;
+            if c.done {
+                return false;
+            }
+            let steady =
+                park_now && edge_up[c.edge] && s.started && !s.waiting && !s.pending_request;
+            if steady {
+                let eps = segment_eps(titles, c);
+                parking.park(c, cid, quanta, eps, d_max);
+            }
+            !steady
+        });
         // Pass-set entries only bridge a fill's completion to its
         // waiters' wake within the quantum; clear them so an admission
         // reject never masquerades as a cache hit later. Always empty
@@ -1477,9 +1624,6 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             e.pass.clear();
         }
         quanta += 1;
-        if quanta % MERGE_EVERY == 0 {
-            merge_converged(&mut cohorts, &mut active, &mut alias);
-        }
         now += q;
         // Stasis: every arrival has happened and a whole quantum passed
         // with no byte moved anywhere (e.g. an origin outage with cold
@@ -1490,7 +1634,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             // fully stalled tier; a plan that crashes everything
             // forever leaves nothing due and terminates cleanly here.
             let faults_due = cal.fault_pending();
-            // Parked classes (their edge is down) cannot consume a
+            // Stranded classes (their edge is down) cannot consume a
             // publish or wake as waiters — only a fault event revives
             // them, and that is `faults_due`'s job to keep alive.
             let any_unparked = active
@@ -1511,7 +1655,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                 let c = &cohorts[cid as usize];
                 edge_up[c.edge] && c.state.pending_request
             });
-            let departures_due = cal.departure_pending(&cohorts, &alias);
+            let departures_due = cal.departure_pending(&cohorts);
             if !faults_due && !publishes_due && !waiters_due && !departures_due {
                 break;
             }
@@ -1519,6 +1663,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
     }
     // Survivors (still downloading at the ceiling, or never arrived)
     // fold with the oracle's unfinished-session arithmetic.
+    parking.unpark_all(quanta, q, &mut cohorts, titles, &mut woken);
     for c in &cohorts {
         if !c.done {
             for g in &c.members {
@@ -1547,6 +1692,11 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
         shields,
         live,
         resilience: res,
+        #[cfg(test)]
+        cost: EngineCost {
+            touches,
+            drain_log_len: parking.log.iter().map(Vec::len).max().unwrap_or(0),
+        },
     }
 }
 
@@ -1695,6 +1845,7 @@ mod tests {
             state: test_state(),
             n: 10,
             done: false,
+            parked_at: None,
         };
         let mut up = vec![true, false, true, true];
         // Home up: never moves, whatever the ring says.
@@ -1713,7 +1864,7 @@ mod tests {
         up[1] = true;
         assert_eq!(rehome(&mut c1, &up, &ring), 10);
         assert_eq!(c1.edge, 1);
-        // All edges down: parked in place, no move counted.
+        // All edges down: stranded in place, no move counted.
         let all_down = vec![false; 4];
         let mut c2 = mk(2, 0xF00D);
         assert_eq!(rehome(&mut c2, &all_down, &ring), 0);
@@ -1731,16 +1882,6 @@ mod tests {
         assert_eq!(quantized_jump(0, 1, 1), 1);
         // Saturates rather than wrapping on u64::MAX-adjacent schedules.
         assert_eq!(quantized_jump(0, u64::MAX, 4), u64::MAX);
-    }
-
-    #[test]
-    fn alias_resolution_follows_merge_chains() {
-        // 3 merged into 1, 1 merged into 0: events against 3 land on 0.
-        let alias = vec![0, 0, 2, 1];
-        assert_eq!(resolve(&alias, 3), 0);
-        assert_eq!(resolve(&alias, 1), 0);
-        assert_eq!(resolve(&alias, 2), 2);
-        assert_eq!(resolve(&alias, 0), 0);
     }
 
     fn test_state() -> CohortState {
@@ -1767,48 +1908,6 @@ mod tests {
             fault_rebuffers: 0,
             fault_rebuffer_ticks: 0,
         }
-    }
-
-    #[test]
-    fn merge_combines_indistinguishable_member_groups_and_keeps_distinct_ones() {
-        let g = |start, depart, count, startup| MemberGroup {
-            start_tick: start,
-            depart_at: depart,
-            count,
-            startup_ticks: startup,
-        };
-        let mut cohorts = vec![
-            Cohort {
-                edge: 0,
-                home_edge: 0,
-                title: 0,
-                ring_key: 0,
-                members: vec![g(10, None, 5, 6), g(10, Some(90), 2, 6)],
-                state: test_state(),
-                n: 7,
-                done: false,
-            },
-            Cohort {
-                edge: 0,
-                home_edge: 0,
-                title: 0,
-                ring_key: 0,
-                members: vec![g(10, None, 3, 6), g(10, None, 1, 8)],
-                state: test_state(),
-                n: 4,
-                done: false,
-            },
-        ];
-        merge_into(&mut cohorts, 0, 1);
-        assert!(cohorts[1].done, "absorbed cohort becomes a tombstone");
-        assert!(cohorts[1].members.is_empty());
-        // (10, None, 6) merged into the existing group; (10, None, 8)
-        // differs in startup latency and must stay its own group.
-        assert_eq!(
-            cohorts[0].members,
-            vec![g(10, None, 8, 6), g(10, Some(90), 2, 6), g(10, None, 1, 8)]
-        );
-        assert_eq!(cohorts[0].count(), 11);
     }
 
     #[test]
@@ -1854,21 +1953,6 @@ mod tests {
             .collect();
         assert_eq!(counts, vec![(None, 4), (Some(500), 1), (Some(900), 1)]);
         assert_eq!(edges[0].assigned, 6);
-    }
-
-    #[test]
-    fn merge_sweep_collapses_converged_classes_without_changing_reports() {
-        // Two staggered arrival waves converge once both are in steady
-        // state; the merge sweep must collapse them and the report must
-        // still match the oracle exactly.
-        let m = manifest();
-        let load = LoadConfig {
-            sessions: 64,
-            stagger_ticks: 64,
-            ..Default::default()
-        };
-        let p = TierParams::single_origin(&ServerConfig::default());
-        assert_matches_oracle(&m, &load, &p);
     }
 
     #[test]
@@ -2015,6 +2099,50 @@ mod tests {
             let tier = EdgeTierConfig {
                 prewarm: false,
                 origin_down_after: Some(down_after),
+                ..Default::default()
+            };
+            assert_matches_oracle(&m, &load, &TierParams::tier(&tier));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Parking on starved flat tiers: drains of a fraction of a
+        /// byte to a few hundred bytes per quantum over tens of
+        /// thousands of quanta, so each edge's cumulative drain grows
+        /// far past one quantum's and churners depart while parked.
+        /// Every wake replays the log under the never-late assertion
+        /// (debug builds), and the report matches the oracle.
+        #[test]
+        fn parked_cohorts_match_oracle_on_starved_tiers(
+            sessions in 1usize..10,
+            stagger in 0u64..4000,
+            seed in any::<u64>(),
+            quantum in 1u64..9,
+            edges in 1usize..4,
+            edge_capacity in 0.5f64..50.0,
+            churn_sessions in 0usize..8,
+            interarrival in 1.0f64..2000.0,
+            watch in 0.0f64..60_000.0,
+        ) {
+            let m = manifest();
+            let load = LoadConfig {
+                sessions,
+                stagger_ticks: stagger,
+                seed,
+                tick_quantum: quantum,
+                churn: ChurnConfig {
+                    churn_sessions,
+                    mean_interarrival_ticks: interarrival,
+                    mean_watch_ticks: watch,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            let tier = EdgeTierConfig {
+                edges,
+                edge_capacity_bytes_per_tick: edge_capacity,
                 ..Default::default()
             };
             assert_matches_oracle(&m, &load, &TierParams::tier(&tier));

@@ -29,7 +29,7 @@ use crate::ladder::Manifest;
 #[cfg(test)]
 use crate::session::AbrController;
 use crate::session::JoinMode;
-use crate::shield::{AdmissionPolicy, ObjKey, TierStats};
+use crate::shield::{warm_lru, AdmissionPolicy, ObjKey, TierStats};
 
 /// Virtual points per edge on the failover [`HashRing`]. Enough that
 /// per-edge load imbalance stays small at 8 edges without making ring
@@ -667,43 +667,15 @@ impl SimEdge {
 /// fall *at or below* this, not exactly to `0.0`.
 ///
 /// The hot loop drains `remaining_bytes -= rate * step` once per
-/// quantum, and each subtraction can round by half an ulp — over a
-/// 10M-tick run that accumulates to ~1e-4 bytes of drift, so a path
-/// that advances the same download analytically (`remaining - k *
-/// rate * step`, the cohort engine's fused form) could disagree with
-/// the iterated path about *which quantum* crossed zero. The epsilon
-/// is sized orders of magnitude above the worst accumulated drift and
-/// orders of magnitude below a deliverable byte, so both paths agree
-/// on every segment-completion tick (regression-pinned at 10M ticks).
+/// quantum, and each subtraction can round by half an ulp. Over a
+/// 10M-tick run that accumulates to ~1e-4 bytes of drift. The epsilon
+/// is sized orders of magnitude above that drift and orders of
+/// magnitude below a deliverable byte, so the completion tick does not
+/// hinge on rounding. The cohort engine's wake predictor
+/// (`calendar::wake_level`) sums the same drains a second way and
+/// leans on the same bound (regression-pinned at 10M ticks).
 pub(crate) fn completion_eps(segment_bytes: f64) -> f64 {
     segment_bytes.max(1.0) * 1e-8
-}
-
-/// Quanta until a download of `remaining` bytes completes at
-/// `per_quantum` bytes per quantum under the epsilon-stable rule: the
-/// smallest `k >= 1` with `remaining - k * per_quantum <= eps`. This is
-/// the analytic (fused) form of the iterated hot-loop drain; the two
-/// must agree on completion quanta (see [`completion_eps`]).
-// Consumed by the cohort fast path (and the 10M-tick regression pin);
-// the iterated hot loop above stays authoritative.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn quanta_to_complete(remaining: f64, per_quantum: f64, eps: f64) -> u64 {
-    if remaining <= eps {
-        return 0;
-    }
-    if per_quantum.is_nan() || per_quantum <= 0.0 {
-        return u64::MAX;
-    }
-    let mut k = ((remaining - eps) / per_quantum).ceil().max(1.0) as u64;
-    // The division can land a rounding error on either side of the
-    // boundary quantum; nudge onto the exact side of the rule.
-    while remaining - (k as f64) * per_quantum > eps {
-        k += 1;
-    }
-    while k > 1 && remaining - ((k - 1) as f64) * per_quantum <= eps {
-        k -= 1;
-    }
-    k
 }
 
 /// One exponential(mean) draw in ticks (0 for a disabled mean).
@@ -719,28 +691,23 @@ fn exp_ticks(rng: &mut Xoroshiro128, mean: f64) -> u64 {
 /// whole ladder. Shared verbatim by the cohort engine and the quantum
 /// oracle so both start from the identical cache state.
 pub(crate) fn build_edges(titles: &[Manifest], p: &TierParams) -> Vec<SimEdge> {
-    let mut edges: Vec<SimEdge> = (0..p.edges)
+    let lru = if p.prewarm {
+        warm_lru(titles, p.cache_capacity_bytes)
+    } else {
+        Lru::new(p.cache_capacity_bytes)
+    };
+    (0..p.edges)
         .map(|_| SimEdge {
-            lru: Lru::new(p.cache_capacity_bytes),
+            lru: lru.clone(),
             fills: FillTable::new(),
-            stats: EdgeStats::default(),
+            stats: EdgeStats {
+                evictions: lru.evictions(),
+                ..EdgeStats::default()
+            },
             assigned: 0,
             pass: std::collections::BTreeSet::new(),
         })
-        .collect();
-    if p.prewarm {
-        for e in &mut edges {
-            for (ti, m) in titles.iter().enumerate() {
-                for (ri, rung) in m.rungs.iter().enumerate() {
-                    for (si, seg) in rung.segments.iter().enumerate() {
-                        e.lru.insert((ti as u32, ri as u32, si as u32), seg.bytes);
-                    }
-                }
-            }
-            e.stats.evictions = e.lru.evictions();
-        }
-    }
-    edges
+        .collect()
 }
 
 /// The arrival/departure schedule: one `(start_tick, depart_at)` per
@@ -2044,49 +2011,73 @@ mod tests {
 
     #[test]
     fn iterated_and_analytic_completion_agree_at_ten_million_ticks() {
-        // Satellite pin for the f64 byte accounting: the per-quantum
-        // iterated drain (`rem -= per_quantum`, the per-session hot
-        // loop) and the fused analytic form (`rem - k * per_quantum`,
-        // the cohort fast path) must agree on the completion quantum
-        // even after 2.5M subtractions (10M ticks at quantum 4), where
-        // accumulated rounding drift peaks.
+        // Pin for the f64 byte accounting behind parking: the iterated
+        // drain (`rem -= per_quantum`, the hot loop) and the edge's
+        // cumulative drain the wake predictor compares against must
+        // agree on the completion quantum even after 2.5M subtractions
+        // (10M ticks at quantum 4), where accumulated drift peaks. The
+        // cohort parks, wakes when the predictor says it may complete
+        // or after `PARK_WINDOW` quanta, and parks again, exactly as
+        // the engine does; the cumulative drain starts from a large
+        // offset so its rounding is coarse.
+        use crate::calendar::{wake_level, PARK_WINDOW};
         for (bytes, per_quantum) in [
             (10_000.0f64, 0.004f64), // 2.5M quanta exactly on paper
             (9_999.7, 0.0041),       // non-representable fractions
             (123_456.78, 0.049),
             (7.0, 3.0), // tiny transfer, coarse quanta
         ] {
-            let eps = completion_eps(bytes);
-            let analytic = quanta_to_complete(bytes, per_quantum, eps);
-            let mut rem = bytes;
-            let mut iterated = 0u64;
-            while rem > eps {
-                rem -= per_quantum;
-                iterated += 1;
+            for offset in [0.0f64, 1e9] {
+                let eps = completion_eps(bytes);
+                let mut rem = bytes;
+                let mut drained = offset;
+                let mut parked_at = 0u64;
+                let mut level = wake_level(drained, rem, eps, per_quantum);
+                let mut wakes = 0u64;
+                let mut k = 0u64;
+                loop {
+                    k += 1;
+                    rem -= per_quantum;
+                    drained += per_quantum;
+                    let woken = drained >= level || k - parked_at >= PARK_WINDOW;
+                    if rem <= eps {
+                        assert!(
+                            woken,
+                            "late wake: {bytes} B at {per_quantum} B/quantum completed \
+                             at quantum {k} while parked"
+                        );
+                        break;
+                    }
+                    if woken {
+                        wakes += 1;
+                        parked_at = k;
+                        level = wake_level(drained, rem, eps, per_quantum);
+                    }
+                }
+                // Early wakes are the forced ones plus a sliver: the
+                // predictor is no coarser than the window.
+                assert!(
+                    wakes <= k / PARK_WINDOW + 2,
+                    "{wakes} wakes over {k} quanta"
+                );
+                // The drift the epsilon must absorb stays far inside it.
+                let fused = bytes - k as f64 * per_quantum;
+                assert!(
+                    (rem - fused).abs() < eps / 100.0,
+                    "accumulated drift {} vs eps {eps}",
+                    (rem - fused).abs()
+                );
             }
-            assert_eq!(
-                iterated, analytic,
-                "completion quantum diverged for {bytes} B at {per_quantum} B/quantum"
-            );
-            // The drift the epsilon must absorb stays far inside it.
-            let fused = bytes - analytic as f64 * per_quantum;
-            assert!(
-                (rem - fused).abs() < eps / 100.0,
-                "accumulated drift {} vs eps {eps}",
-                (rem - fused).abs()
-            );
         }
-        // Degenerate guards.
-        assert_eq!(quanta_to_complete(0.0, 1.0, completion_eps(1.0)), 0);
-        assert_eq!(quanta_to_complete(10.0, 0.0, 1e-8), u64::MAX);
-        assert_eq!(quanta_to_complete(10.0, f64::NAN, 1e-8), u64::MAX);
     }
 
     #[test]
     fn ten_million_tick_run_completes_deterministically() {
         // Engine-level long-run pin: a starved session draining one
         // segment over millions of quanta neither wedges on the
-        // epsilon rule nor drifts between runs.
+        // epsilon rule nor drifts between runs. It stays parked
+        // through nearly all of them, and its edge's drain log stays
+        // a ring of `PARK_WINDOW` entries instead of one per quantum.
         let m = manifest();
         let server = ServerConfig {
             capacity_bytes_per_tick: 4_000.0,
@@ -2102,6 +2093,23 @@ mod tests {
         assert_eq!(a.completed, 1, "the starved session still finishes");
         assert!(a.ticks > 10_000_000, "ran long: {}", a.ticks);
         assert_eq!(a, simulate_load(&m, &server, &load));
+        let run = crate::calendar::run_cohorts(
+            std::slice::from_ref(&m),
+            &load,
+            &TierParams::single_origin(&server),
+        );
+        assert_eq!(run.report, a);
+        let quanta = a.ticks / load.tick_quantum;
+        assert_eq!(
+            run.cost.drain_log_len,
+            crate::calendar::PARK_WINDOW as usize,
+            "the log wraps, never grows past the window"
+        );
+        assert!(
+            run.cost.touches < quanta / 100,
+            "{} cohort touches over {quanta} quanta",
+            run.cost.touches
+        );
     }
 
     #[test]

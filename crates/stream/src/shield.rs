@@ -342,6 +342,21 @@ pub(crate) fn shield_home(edge: usize, edges: usize, shields: usize) -> usize {
     edge * shields / edges
 }
 
+/// A `capacity_bytes` cache warmed with every title's whole ladder,
+/// inserted in (title, rung, segment) order. Built once per tier and
+/// cloned into each cache, which is the same state as warming each one.
+pub(crate) fn warm_lru(titles: &[Manifest], capacity_bytes: usize) -> Lru<ObjKey> {
+    let mut lru = Lru::new(capacity_bytes);
+    for (ti, m) in titles.iter().enumerate() {
+        for (ri, rung) in m.rungs.iter().enumerate() {
+            for (si, seg) in rung.segments.iter().enumerate() {
+                lru.insert((ti as u32, ri as u32, si as u32), seg.bytes);
+            }
+        }
+    }
+    lru
+}
+
 /// Builds the fluid shield tier: `count` shields, optionally prewarmed
 /// with every title (as far as capacity allows), with child-edge
 /// assignment counts filled in.
@@ -352,26 +367,22 @@ pub(crate) fn build_shields(
     prewarm: bool,
     edges: usize,
 ) -> Vec<SimShield> {
+    let lru = if prewarm {
+        warm_lru(titles, cache_capacity_bytes)
+    } else {
+        Lru::new(cache_capacity_bytes)
+    };
     let mut shields: Vec<SimShield> = (0..count)
         .map(|_| SimShield {
-            lru: Lru::new(cache_capacity_bytes),
+            lru: lru.clone(),
             fills: FillTable::new(),
-            stats: EdgeStats::default(),
+            stats: EdgeStats {
+                evictions: lru.evictions(),
+                ..EdgeStats::default()
+            },
             assigned: 0,
         })
         .collect();
-    if prewarm {
-        for sh in &mut shields {
-            for (ti, m) in titles.iter().enumerate() {
-                for (ri, rung) in m.rungs.iter().enumerate() {
-                    for (si, seg) in rung.segments.iter().enumerate() {
-                        sh.lru.insert((ti as u32, ri as u32, si as u32), seg.bytes);
-                    }
-                }
-            }
-            sh.stats.evictions = sh.lru.evictions();
-        }
-    }
     if count > 0 {
         for e in 0..edges {
             shields[shield_home(e, edges, count)].assigned += 1;
