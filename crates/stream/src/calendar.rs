@@ -1637,10 +1637,10 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             // Stranded classes (their edge is down) cannot consume a
             // publish or wake as waiters — only a fault event revives
             // them, and that is `faults_due`'s job to keep alive.
-            let any_unparked = active
+            let any_on_up_edge = active
                 .iter()
                 .any(|&cid| edge_up[cohorts[cid as usize].edge]);
-            let publishes_due = any_unparked
+            let publishes_due = any_on_up_edge
                 && p.live.is_some_and(|l| {
                     active.iter().any(|&cid| {
                         let nseg = seg_counts[cohorts[cid as usize].title as usize];

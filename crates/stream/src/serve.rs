@@ -29,7 +29,7 @@ use crate::ladder::Manifest;
 #[cfg(test)]
 use crate::session::AbrController;
 use crate::session::JoinMode;
-use crate::shield::{warm_lru, AdmissionPolicy, ObjKey, TierStats};
+use crate::shield::{tier_cache, AdmissionPolicy, ObjKey, TierStats};
 
 /// Virtual points per edge on the failover [`HashRing`]. Enough that
 /// per-edge load imbalance stays small at 8 edges without making ring
@@ -691,11 +691,7 @@ fn exp_ticks(rng: &mut Xoroshiro128, mean: f64) -> u64 {
 /// whole ladder. Shared verbatim by the cohort engine and the quantum
 /// oracle so both start from the identical cache state.
 pub(crate) fn build_edges(titles: &[Manifest], p: &TierParams) -> Vec<SimEdge> {
-    let lru = if p.prewarm {
-        warm_lru(titles, p.cache_capacity_bytes)
-    } else {
-        Lru::new(p.cache_capacity_bytes)
-    };
+    let lru = tier_cache(titles, p.cache_capacity_bytes, p.prewarm);
     (0..p.edges)
         .map(|_| SimEdge {
             lru: lru.clone(),

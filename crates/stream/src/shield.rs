@@ -342,15 +342,18 @@ pub(crate) fn shield_home(edge: usize, edges: usize, shields: usize) -> usize {
     edge * shields / edges
 }
 
-/// A `capacity_bytes` cache warmed with every title's whole ladder,
-/// inserted in (title, rung, segment) order. Built once per tier and
-/// cloned into each cache, which is the same state as warming each one.
-pub(crate) fn warm_lru(titles: &[Manifest], capacity_bytes: usize) -> Lru<ObjKey> {
+/// A `capacity_bytes` cache, warmed with every title's whole ladder in
+/// (title, rung, segment) order when `prewarm` is set. Built once per
+/// tier and cloned into each cache, which is the same state as warming
+/// each one.
+pub(crate) fn tier_cache(titles: &[Manifest], capacity_bytes: usize, prewarm: bool) -> Lru<ObjKey> {
     let mut lru = Lru::new(capacity_bytes);
-    for (ti, m) in titles.iter().enumerate() {
-        for (ri, rung) in m.rungs.iter().enumerate() {
-            for (si, seg) in rung.segments.iter().enumerate() {
-                lru.insert((ti as u32, ri as u32, si as u32), seg.bytes);
+    if prewarm {
+        for (ti, m) in titles.iter().enumerate() {
+            for (ri, rung) in m.rungs.iter().enumerate() {
+                for (si, seg) in rung.segments.iter().enumerate() {
+                    lru.insert((ti as u32, ri as u32, si as u32), seg.bytes);
+                }
             }
         }
     }
@@ -367,11 +370,7 @@ pub(crate) fn build_shields(
     prewarm: bool,
     edges: usize,
 ) -> Vec<SimShield> {
-    let lru = if prewarm {
-        warm_lru(titles, cache_capacity_bytes)
-    } else {
-        Lru::new(cache_capacity_bytes)
-    };
+    let lru = tier_cache(titles, cache_capacity_bytes, prewarm);
     let mut shields: Vec<SimShield> = (0..count)
         .map(|_| SimShield {
             lru: lru.clone(),
