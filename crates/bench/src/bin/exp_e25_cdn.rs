@@ -23,8 +23,11 @@
 //!   zero fault-attributed rebuffering and the exact 2,000-tick MTTR
 //!   on both restores, asserted in-binary before anything is written.
 //!
-//! Everything is seed-deterministic; there is no wall clock anywhere
-//! in the measured quantities.
+//! Every metric but `wall_ms` is seed-deterministic. `wall_ms` is the
+//! host time of each phase's simulation: one run, or one whole knee
+//! bisection.
+
+use std::time::Instant;
 
 use mmbench::banner;
 use mmbench::perf::{PerfEntry, PerfReport};
@@ -39,6 +42,10 @@ use mmstream::serve::{
 use mmstream::session::JoinMode;
 use mmstream::shield::{AdmissionPolicy, TinyLfuConfig};
 use video::synth::SequenceGen;
+
+fn ms_since(t0: Instant) -> f64 {
+    t0.elapsed().as_secs_f64() * 1e3
+}
 
 fn main() {
     banner(
@@ -89,7 +96,9 @@ fn main() {
         stagger_ticks: 0,
         ..Default::default()
     };
+    let t0 = Instant::now();
     let r = simulate_cdn_load(&catalog, &offload_cdn, &load);
+    let wall_ms = ms_since(t0);
     let edge_local = r.edge.origin_offload;
     println!(
         "  {} sessions: {:.4}% true-origin offload ({:.4}% edge-local), \
@@ -122,7 +131,8 @@ fn main() {
             .metric("origin_offload", r.origin_offload)
             .metric("edge_local_offload", edge_local)
             .metric("origin_fills", r.tier.origin_hits as f64)
-            .metric("origin_bytes", r.tier.origin_bytes() as f64),
+            .metric("origin_bytes", r.tier.origin_bytes() as f64)
+            .metric("wall_ms", wall_ms),
     );
 
     // ---- TinyLFU vs LRU at 1/8 of the *touched* working set (the
@@ -160,7 +170,9 @@ fn main() {
             shield_capacity_bytes_per_tick: 100_000.0,
             admission,
         };
+        let t0 = Instant::now();
         let r = simulate_cdn_load(&catalog, &cdn, &admission_load);
+        let wall_ms = ms_since(t0);
         hit_rates[i] = r.tier.hit_rate();
         let name = if i == 0 { "lru" } else { "tinylfu" };
         println!(
@@ -172,7 +184,8 @@ fn main() {
             PerfEntry::new(&format!("admission_{name}"))
                 .metric("cache_bytes", (touched / 8) as f64)
                 .metric("edge_hit_rate", hit_rates[i])
-                .metric("origin_offload", r.origin_offload),
+                .metric("origin_offload", r.origin_offload)
+                .metric("wall_ms", wall_ms),
         );
     }
     assert!(
@@ -199,10 +212,12 @@ fn main() {
             admission: AdmissionPolicy::AdmitAll,
         };
         let counts: Vec<usize> = (1..=12).map(|i| i * edges * 125).collect();
+        let t0 = Instant::now();
         let knee = cdn_capacity_knee_bisect(&catalog, &cdn, &counts, &LoadConfig::default(), 0.05)
             .expect("a warm tier sustains some level");
+        let wall_ms = ms_since(t0);
         println!(
-            "  {edges} edges ({} per shield): knee {knee} sessions",
+            "  {edges} edges ({} per shield): knee {knee} sessions in {wall_ms:.0} ms",
             edges / 4
         );
         assert_eq!(
@@ -214,7 +229,8 @@ fn main() {
             PerfEntry::new(&format!("knee_edges_{edges}"))
                 .metric("edges", edges as f64)
                 .metric("edges_per_shield", (edges / 4) as f64)
-                .metric("knee_sessions", knee as f64),
+                .metric("knee_sessions", knee as f64)
+                .metric("wall_ms", wall_ms),
         );
     }
 
@@ -259,7 +275,9 @@ fn main() {
         .crash_edge(0, 2_400, Some((4_400, RestartMode::Cold)))
         .flap_origin(2_400, 3_600)
         .crash_shield(0, 2_600, Some((4_600, RestartMode::Cold)));
+    let t0 = Instant::now();
     let r = simulate_live_cdn_load_faulted(&live_catalog, &flash_cdn, &live, &plan, &flash_load);
+    let wall_ms = ms_since(t0);
     let res = r.resilience;
     let sessions = r.edge.load.sessions;
     println!(
@@ -296,7 +314,8 @@ fn main() {
             .metric("shield_crashes", res.shield_crashes as f64)
             .metric("mean_restore_ticks", res.mean_restore_ticks)
             .metric("completed", r.edge.load.completed as f64)
-            .metric("rebuffer_fraction", r.edge.load.rebuffer_fraction),
+            .metric("rebuffer_fraction", r.edge.load.rebuffer_fraction)
+            .metric("wall_ms", wall_ms),
     );
     // Determinism gate: the composed run must replay exactly.
     let replay =
