@@ -40,7 +40,7 @@
 //!   and shield requests keep their order. A departure naming a parked
 //!   cohort, any fault action, the end of the run, and [`PARK_WINDOW`]
 //!   quanta without a wake bring it back the same way. A viewer on a
-//!   warm tier costs about two touches per segment instead of one per
+//!   warm tier costs about one touch per segment instead of one per
 //!   quantum.
 //! * **Fault replay.** A resolved [`crate::fault::FaultPlan`] schedules
 //!   its actions on the same event heap (sorting before same-tick
