@@ -2,16 +2,20 @@
 //! oracle cannot reach. The oracle suite (`calendar`'s unit tests) is
 //! single-title and flat; these scenarios run shields, Zipf catalogs,
 //! TinyLFU admission, evicting edge and shield caches, live DVR with a
-//! flash crowd, every fault kind, and churn departures that land on
-//! downloading cohorts.
+//! flash crowd, every fault kind, rebuffers that begin under fault
+//! pressure, degrade spans faster than the provisioned rate, live
+//! channels with a head start and quanta that straddle publishes, and
+//! churn departures that land on downloading cohorts and on viewers
+//! caught up with the live edge.
 //!
 //! Every field of each `CdnLoadReport` is flattened to a word list
 //! (integers as `u64`, `f64` by `to_bits`, per-edge and per-shield
 //! entries included) and pinned by its length and digest, so a pin
 //! holds only while every field of the report is bit-identical. The
-//! pinned values were generated by the engine that still scanned every
-//! active cohort every quantum; an engine that skips work must
-//! reproduce them exactly.
+//! pinned values were generated by engines that scanned the cohorts
+//! these paths exercise every quantum (every cohort, for the first
+//! twelve pins; under fault pressure and for publish waiters, for the
+//! last four); an engine that skips work must reproduce them exactly.
 
 use mmstream::catalog::Catalog;
 use mmstream::edge::{EdgeStats, EdgeTierConfig};
@@ -24,6 +28,7 @@ use mmstream::serve::{
 };
 use mmstream::session::JoinMode;
 use mmstream::shield::{AdmissionPolicy, TierStats, TinyLfuConfig};
+use netstack::link::{LinkTrace, TracePhase};
 use signal::rng::splitmix64;
 use video::synth::SequenceGen;
 
@@ -510,6 +515,191 @@ fn every_fault_kind_on_vod_and_live() {
             ticks: 5_356,
             words: 110,
             digest: 0x1F5D_6DEC_C7DF_4E30,
+        },
+    );
+}
+
+/// Live viewers whose rebuffers *begin* under fault pressure: every
+/// edge runs at half rate through the flash crowd, so playing classes
+/// run dry while they download, and the fault ledger accrues.
+#[test]
+fn live_rebuffers_that_begin_under_fault_pressure() {
+    let mut plan = FaultPlan::new(0xD1E);
+    for e in 0..4 {
+        plan = plan.degrade_link(Some(e), 1_800, 4_200, 0.5);
+    }
+    let r = simulate_live_cdn_load_faulted(
+        &live_catalog(),
+        &flash_cdn(),
+        &live(),
+        &plan,
+        &flash_load(29),
+    );
+    assert!(r.resilience.sessions_fault_rebuffered > 0);
+    assert!(r.resilience.fault_rebuffer_ticks > 0);
+    check(
+        &r,
+        &Pin {
+            name: "live rebuffers under degraded edges",
+            completed: 1_707,
+            departed: 93,
+            ticks: 5_436,
+            words: 110,
+            digest: 0x830F_8114_818E_A51D,
+        },
+    );
+}
+
+/// A link trace with a phase *faster* than the provisioned rate
+/// degrades two starved edges to a scale above 1, so one quantum's
+/// drain exceeds the unscaled edge capacity.
+#[test]
+fn degrade_spans_faster_than_provisioned() {
+    let trace = LinkTrace {
+        phases: vec![
+            TracePhase {
+                ticks: 700,
+                ticks_per_byte: 1.0,
+                loss: 0.0,
+            },
+            TracePhase {
+                ticks: 1_600,
+                ticks_per_byte: 0.25,
+                loss: 0.0,
+            },
+            TracePhase {
+                ticks: 900,
+                ticks_per_byte: 0.5,
+                loss: 0.0,
+            },
+            TracePhase {
+                ticks: 1,
+                ticks_per_byte: 1.0,
+                loss: 0.0,
+            },
+        ],
+        repeat: false,
+    };
+    let plan = FaultPlan::new(0xFA57)
+        .degrade_from_trace(Some(1), &trace, 1.0, 20_000)
+        .degrade_from_trace(Some(2), &trace, 1.0, 20_000);
+    let cdn = CdnConfig {
+        tier: EdgeTierConfig {
+            edges: 4,
+            cache_capacity_bytes: usize::MAX,
+            edge_capacity_bytes_per_tick: 300.0,
+            per_session_bytes_per_tick: f64::INFINITY,
+            prewarm: true,
+            ..Default::default()
+        },
+        shields: 0,
+        shield_cache_capacity_bytes: usize::MAX,
+        shield_capacity_bytes_per_tick: 100_000.0,
+        admission: AdmissionPolicy::AdmitAll,
+    };
+    let load = LoadConfig {
+        sessions: 24,
+        stagger_ticks: 3_000,
+        seed: 31,
+        tick_quantum: 3,
+        churn: ChurnConfig {
+            churn_sessions: 12,
+            mean_interarrival_ticks: 200.0,
+            mean_watch_ticks: 2_500.0,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let r = simulate_cdn_load_faulted(&Catalog::single(title(32)), &cdn, &plan, &load);
+    check(
+        &r,
+        &Pin {
+            name: "degrade spans above scale 1",
+            completed: 35,
+            departed: 1,
+            ticks: 3_711,
+            words: 92,
+            digest: 0x1AB8_0528_2AC1_0570,
+        },
+    );
+}
+
+/// A channel three segments into its stream, paced at 250 ticks a
+/// segment and simulated in 7-tick quanta, so publishes fall between
+/// quantum boundaries; churners leave while caught up on the live edge.
+#[test]
+fn live_head_start_with_an_unaligned_quantum() {
+    let live = LiveConfig {
+        ticks_per_segment: 250,
+        dvr_window_segments: 6,
+        head_start_segments: 3,
+        join: JoinMode::LiveEdge,
+    };
+    let load = LoadConfig {
+        sessions: 300,
+        stagger_ticks: 2_000,
+        seed: 37,
+        tick_quantum: 7,
+        churn: ChurnConfig {
+            churn_sessions: 300,
+            mean_interarrival_ticks: 6.0,
+            mean_watch_ticks: 1_200.0,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    check(
+        &simulate_live_cdn_load(&live_catalog(), &shielded(4, true), &live, &load),
+        &Pin {
+            name: "live head start, 7-tick quanta",
+            completed: 435,
+            departed: 165,
+            ticks: 2_044,
+            words: 128,
+            digest: 0x2CE8_1326_0952_36DD,
+        },
+    );
+}
+
+/// Churn departures that land on viewers caught up with the live edge,
+/// before, during and after an edge crash and an origin flap.
+#[test]
+fn departures_of_caught_up_live_viewers_through_faults() {
+    let plan = FaultPlan::new(0xC0DE)
+        .crash_edge(1, 1_500, Some((2_700, RestartMode::Warm)))
+        .flap_origin(2_000, 2_300);
+    let load = LoadConfig {
+        sessions: 120,
+        stagger_ticks: 600,
+        seed: 41,
+        churn: ChurnConfig {
+            churn_sessions: 900,
+            mean_interarrival_ticks: 3.0,
+            mean_watch_ticks: 700.0,
+            flash_sessions: 400,
+            flash_at_tick: 1_200,
+            flash_ramp_ticks: 300,
+        },
+        ..Default::default()
+    };
+    let live = LiveConfig {
+        dvr_window_segments: 4,
+        join: JoinMode::LiveEdge,
+        ..Default::default()
+    };
+    let r =
+        simulate_live_cdn_load_faulted(&live_catalog(), &shielded(4, true), &live, &plan, &load);
+    assert!(r.edge.load.departed > 0);
+    assert!(r.live.publish_wait_ticks > 0);
+    check(
+        &r,
+        &Pin {
+            name: "departures of caught-up live viewers",
+            completed: 542,
+            departed: 878,
+            ticks: 4_436,
+            words: 128,
+            digest: 0xE9CD_D59E_A9C5_077B,
         },
     );
 }
