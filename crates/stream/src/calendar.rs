@@ -22,26 +22,34 @@
 //!   quantum while the rest of the class keeps simulating.
 //! * **The calendar.** A binary-heap [`EventCalendar`] keyed on each
 //!   cohort's next discrete event (arrival, churn departure) drives the
-//!   clock: quanta where no cohort is active fast-forward straight to
-//!   the next event boundary instead of ticking through the gap, and
-//!   departures/arrivals touch only the cohort they name.
-//! * **Parking.** A *steady* cohort (started, its edge up, not waiting
-//!   on a fill, not publish-gated, no fault pressure) does only two
-//!   things per quantum: `remaining_bytes -= drain` at its edge's
-//!   shared rate, and an integer-valued playout drain. Steady cohorts
-//!   leave the per-quantum scan. Each edge counts its parked members
+//!   clock: stretches where no quantum can do anything fast-forward
+//!   straight to the next event boundary or publish instead of ticking
+//!   through the gap, and departures/arrivals touch only the cohort
+//!   they name.
+//! * **Parking.** Two kinds of cohort leave the per-quantum scan.
+//!   A *steady* cohort (started, its edge up, not waiting on a fill or
+//!   a publish) only does `remaining_bytes -= drain` at its edge's
+//!   shared rate each quantum. Each edge counts its parked members
 //!   into its downlink share, logs every quantum's drain in a ring of
 //!   [`PARK_WINDOW`] entries, and keys each parked cohort on the
 //!   cumulative drain at which it may complete ([`wake_level`], which
-//!   errs early, never late). A woken cohort replays the logged drains
-//!   in order — bit for bit the iterated value — takes the skipped
-//!   playout in one step, and runs the ordinary quantum body in
-//!   cohort-id order with the scanned cohorts, so cache touches, fills
-//!   and shield requests keep their order. A departure naming a parked
-//!   cohort, any fault action, the end of the run, and [`PARK_WINDOW`]
-//!   quanta without a wake bring it back the same way. A viewer on a
-//!   warm tier costs about one touch per segment instead of one per
-//!   quantum.
+//!   errs early, never late); a woken cohort replays the logged drains
+//!   in order, bit for bit the iterated value. A *publish waiter*
+//!   (started, its edge up, its next segment not yet live) only waits;
+//!   it is keyed on the exact quantum its segment goes live, wakes at
+//!   the top of that quantum, and takes the skipped publish wait in
+//!   one step. Either kind also plays out in between: the skipped
+//!   quanta all ran under the one fault regime recorded at park time
+//!   (only fault actions change it, and they unpark every cohort
+//!   first), so [`drain_playout`] applies their playout, rebuffers and
+//!   fault-attributed stalls in one exact step. Woken cohorts run the
+//!   ordinary quantum body in cohort-id order with the scanned ones,
+//!   so cache touches, fills and shield requests keep their order. A
+//!   departure naming a parked cohort, any fault action, the end of
+//!   the run, and (for steady cohorts) [`PARK_WINDOW`] quanta without
+//!   a wake bring it back the same way. A viewer costs about one touch
+//!   per segment on a warm VOD tier and about two per segment as a
+//!   live viewer, with or without fault pressure.
 //! * **Fault replay.** A resolved [`crate::fault::FaultPlan`] schedules
 //!   its actions on the same event heap (sorting before same-tick
 //!   arrivals), so crashes, restarts, origin flaps, and degradation
@@ -212,7 +220,8 @@ pub(crate) struct Cohort {
     /// the engine never touches this cohort again.
     pub(crate) done: bool,
     /// The quantum whose body this cohort last ran before it left the
-    /// scan as a steady downloader; `None` while it is scanned.
+    /// scan, as a steady downloader or (with `pending_request` set) as
+    /// a publish waiter; `None` while it is scanned.
     pub(crate) parked_at: Option<u64>,
 }
 
@@ -400,6 +409,8 @@ pub(crate) struct CohortRun {
 pub(crate) struct EngineCost {
     /// Quantum bodies run, summed over cohorts.
     pub(crate) touches: u64,
+    /// Segments completed, counted once per cohort.
+    pub(crate) completions: u64,
     /// The longest per-edge drain log.
     pub(crate) drain_log_len: usize,
 }
@@ -492,20 +503,50 @@ fn form_cohorts(
     cohorts
 }
 
-/// `ticks` of playout in one step. Exact for the per-quantum clamped
-/// drain, because buffer levels and quanta are integer-valued f64s: the
-/// buffer either survives the whole span or empties, entering rebuffer
-/// at the quantum it first ran dry.
-fn drain_playout(s: &mut CohortState, ticks: u64) {
-    let drain = ticks as f64;
-    if s.buffer_ticks >= drain {
-        s.buffer_ticks -= drain;
-    } else {
-        if !s.in_rebuffer {
-            s.in_rebuffer = true;
-            s.rebuffer_events += 1;
+/// [`play_quantum`] `quanta` times in one step, under one fault regime.
+/// Exact, because buffer levels and quanta are integer-valued f64s: the
+/// buffer either survives the whole span or runs dry in quantum
+/// `floor(buffer / q) + 1` of it and stalls from there on.
+fn drain_playout(s: &mut CohortState, quanta: u64, q: u64, fault: bool) {
+    // Quanta of the span that end in rebuffer.
+    let mut stalled = if s.in_rebuffer { quanta } else { 0 };
+    if s.playing {
+        let drain = (quanta * q) as f64;
+        if s.buffer_ticks >= drain {
+            s.buffer_ticks -= drain;
+        } else {
+            if !s.in_rebuffer {
+                s.in_rebuffer = true;
+                s.rebuffer_events += 1;
+                s.fault_rebuffers += u32::from(fault);
+                stalled = quanta - s.buffer_ticks as u64 / q;
+            }
+            s.buffer_ticks = 0.0;
         }
-        s.buffer_ticks = 0.0;
+    }
+    if fault {
+        s.fault_rebuffer_ticks += stalled * q;
+    }
+}
+
+/// One quantum of playout: the buffer drains while the next segment
+/// downloads (or the class waits on a fill or the live edge), and a
+/// rebuffer that begins under fault pressure, like every stalled tick
+/// under it, is fault-attributed.
+fn play_quantum(s: &mut CohortState, q: u64, fault: bool) {
+    if s.playing {
+        s.buffer_ticks -= q as f64;
+        if s.buffer_ticks < 0.0 {
+            if !s.in_rebuffer {
+                s.in_rebuffer = true;
+                s.rebuffer_events += 1;
+                s.fault_rebuffers += u32::from(fault);
+            }
+            s.buffer_ticks = 0.0;
+        }
+    }
+    if fault && s.in_rebuffer {
+        s.fault_rebuffer_ticks += q;
     }
 }
 
@@ -515,37 +556,57 @@ fn segment_eps(titles: &[Manifest], c: &Cohort) -> f64 {
     completion_eps(m.rungs[c.state.rung].segments[c.state.seg].bytes as f64)
 }
 
-/// The steady downloaders out of the per-quantum scan (see the module
-/// doc), with the per-edge drain history that brings them back.
+/// The cohorts out of the per-quantum scan (see the module doc): steady
+/// downloaders, with the per-edge drain history that brings them back,
+/// and publish waiters, keyed on the quantum their segment goes live.
 struct Parking {
-    /// Members parked on each edge; they count toward its downlink share.
+    /// Members of steady cohorts parked on each edge; they count toward
+    /// its downlink share.
     steady_n: Vec<u64>,
-    /// Parked cohorts on all edges.
-    parked: usize,
+    /// Parked steady cohorts on all edges.
+    steady: usize,
     /// Each edge's drain per quantum, a ring indexed by quantum modulo
     /// [`PARK_WINDOW`].
     log: Vec<Vec<f64>>,
     /// Each edge's drains summed over every logged quantum.
     drained: Vec<f64>,
-    /// Each edge's parked cohorts as `(wake level, cid, parked_at)`,
+    /// Each edge's steady cohorts as `(wake level, cid, parked_at)`,
     /// lowest level first. A level is the bit pattern of a
     /// non-negative [`wake_level`]; those order like their values. An
     /// entry is stale once its cohort is no longer parked at
-    /// `parked_at`.
+    /// `parked_at` as a steady downloader.
     wakes: Vec<BinaryHeap<Reverse<(u64, u32, u64)>>>,
-    /// `(parked_at, cid)` in park order, for the forced wake.
+    /// `(parked_at, cid)` of steady cohorts in park order, for the
+    /// forced wake.
     deadlines: VecDeque<(u64, u32)>,
+    /// Parked publish waiters.
+    waiters: usize,
+    /// Publish waiters as `(wake quantum, cid, parked_at)`, earliest
+    /// first: the first quantum whose start tick reaches the publish
+    /// tick of the waiter's segment. Stale like `wakes`.
+    waiter_wakes: BinaryHeap<Reverse<(u64, u32, u64)>>,
+    /// Publish-wait ticks accrued by waiters over the quanta they
+    /// skipped.
+    publish_wait_ticks: u64,
+    /// Whether fault pressure was active when the parked cohorts
+    /// parked. Only fault actions change it, and each one unparks
+    /// every cohort first, so every skipped quantum ran under it.
+    fault: bool,
 }
 
 impl Parking {
     fn new(edges: usize) -> Self {
         Self {
             steady_n: vec![0; edges],
-            parked: 0,
+            steady: 0,
             log: vec![Vec::new(); edges],
             drained: vec![0.0; edges],
             wakes: vec![BinaryHeap::new(); edges],
             deadlines: VecDeque::new(),
+            waiters: 0,
+            waiter_wakes: BinaryHeap::new(),
+            publish_wait_ticks: 0,
+            fault: false,
         }
     }
 
@@ -563,11 +624,11 @@ impl Parking {
     }
 
     /// Takes a steady cohort out of the scan after its quantum-`t` body
-    /// ran.
+    /// ran; `d_max` bounds one quantum's drain on its edge.
     fn park(&mut self, c: &mut Cohort, cid: u32, t: u64, eps: f64, d_max: f64) {
         c.parked_at = Some(t);
         self.steady_n[c.edge] += c.n;
-        self.parked += 1;
+        self.steady += 1;
         let level = wake_level(self.drained[c.edge], c.state.remaining_bytes, eps, d_max);
         // A level at or below zero wakes at the next quantum, like zero.
         let key = if level > 0.0 { level.to_bits() } else { 0 };
@@ -575,31 +636,74 @@ impl Parking {
         self.deadlines.push_back((t, cid));
     }
 
+    /// Takes a publish waiter out of the scan after its quantum-`t`
+    /// body ran, until quantum `wake`.
+    fn park_waiter(&mut self, c: &mut Cohort, cid: u32, t: u64, wake: u64) {
+        c.parked_at = Some(t);
+        self.waiters += 1;
+        self.waiter_wakes.push(Reverse((wake, cid, t)));
+    }
+
     /// Brings a parked cohort back into the scan with its state as of
-    /// the start of quantum `t`: the logged drain of every quantum it
-    /// skipped, applied in order, then their playout in one step.
+    /// the start of quantum `t`. A steady cohort takes the logged drain
+    /// of every quantum it skipped, in order; a waiter, their publish
+    /// wait. Both then take the span's playout in one step.
     fn unpark(&mut self, c: &mut Cohort, t: u64, q: u64, titles: &[Manifest]) {
         let t0 = c.parked_at.take().expect("only a parked cohort unparks");
-        self.steady_n[c.edge] -= c.n;
-        self.parked -= 1;
-        let eps = segment_eps(titles, c);
-        let ring = &self.log[c.edge];
-        let s = &mut c.state;
-        for skipped in t0 + 1..t {
-            s.remaining_bytes -= ring[(skipped % PARK_WINDOW) as usize];
-            debug_assert!(
-                s.remaining_bytes > eps,
-                "woken late: the segment completed in quantum {skipped}, before quantum {t}"
-            );
+        let skipped = t - t0 - 1;
+        if c.state.pending_request {
+            self.waiters -= 1;
+            self.publish_wait_ticks += skipped * q * c.n;
+        } else {
+            self.steady_n[c.edge] -= c.n;
+            self.steady -= 1;
+            let eps = segment_eps(titles, c);
+            let ring = &self.log[c.edge];
+            let s = &mut c.state;
+            for skipped in t0 + 1..t {
+                s.remaining_bytes -= ring[(skipped % PARK_WINDOW) as usize];
+                debug_assert!(
+                    s.remaining_bytes > eps,
+                    "woken late: the segment completed in quantum {skipped}, before quantum {t}"
+                );
+            }
         }
-        if s.playing {
-            drain_playout(s, (t - t0 - 1) * q);
+        drain_playout(&mut c.state, skipped, q, self.fault);
+    }
+
+    /// Unparks, into `woken`, every publish waiter whose segment is
+    /// live at quantum `t`.
+    fn wake_waiters(
+        &mut self,
+        t: u64,
+        q: u64,
+        cohorts: &mut [Cohort],
+        titles: &[Manifest],
+        woken: &mut Vec<u32>,
+    ) {
+        while let Some(&Reverse((wake, cid, t0))) = self.waiter_wakes.peek() {
+            if wake > t {
+                break;
+            }
+            self.waiter_wakes.pop();
+            let c = &mut cohorts[cid as usize];
+            if c.parked_at == Some(t0) && c.state.pending_request {
+                self.unpark(c, t, q, titles);
+                woken.push(cid);
+            }
         }
     }
 
-    /// Unparks, into `woken`, every cohort that may complete in quantum
-    /// `t` (its edge's drain, this quantum's included, reached its wake
-    /// level) or has been parked [`PARK_WINDOW`] quanta.
+    /// The earliest quantum a parked waiter may wake (a stale entry
+    /// only makes it earlier).
+    fn next_waiter_wake(&self) -> Option<u64> {
+        let next = self.waiter_wakes.peek().map(|&Reverse((wake, _, _))| wake);
+        next.filter(|_| self.waiters > 0)
+    }
+
+    /// Unparks, into `woken`, every steady cohort that may complete in
+    /// quantum `t` (its edge's drain, this quantum's included, reached
+    /// its wake level) or has been parked [`PARK_WINDOW`] quanta.
     fn wake_due(
         &mut self,
         t: u64,
@@ -615,7 +719,7 @@ impl Parking {
                 }
                 self.wakes[e].pop();
                 let c = &mut cohorts[cid as usize];
-                if c.parked_at == Some(t0) {
+                if c.parked_at == Some(t0) && !c.state.pending_request {
                     self.unpark(c, t, q, titles);
                     woken.push(cid);
                 }
@@ -627,11 +731,15 @@ impl Parking {
             }
             self.deadlines.pop_front();
             let c = &mut cohorts[cid as usize];
-            if c.parked_at == Some(t0) {
+            if c.parked_at == Some(t0) && !c.state.pending_request {
                 self.unpark(c, t, q, titles);
                 woken.push(cid);
             }
         }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.steady == 0 && self.waiters == 0
     }
 
     /// Unparks every parked cohort into `woken`, as of the start of
@@ -652,6 +760,7 @@ impl Parking {
         }
         self.wakes.iter_mut().for_each(BinaryHeap::clear);
         self.deadlines.clear();
+        self.waiter_wakes.clear();
     }
 }
 
@@ -843,11 +952,6 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
     let mut parking = Parking::new(p.edges);
     let mut woken: Vec<u32> = Vec::new();
     let step = q as f64;
-    // One quantum's drain with no fault pressure (unit edge scale) and
-    // at least one downloader never exceeds this. An unbounded drain
-    // completes every download in one quantum: nothing parks.
-    let d_max = p.edge_capacity.min(p.per_session) * step;
-    let parkable = d_max.is_finite();
 
     // Graceful degradation folds into every rung pick: once fault
     // pressure has made a class rebuffer, it pins to the lowest rung
@@ -868,7 +972,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
     let mut publish_wait_ticks = 0u64;
     let mut window_skips = 0u64;
     #[cfg(test)]
-    let mut touches = 0u64;
+    let (mut touches, mut completions) = (0u64, 0u64);
     while alive > 0 && now < load.max_ticks {
         // Calendar events due this quantum: fault actions mutate the
         // tier; arrivals activate their cohort; a departure splits its
@@ -878,7 +982,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             if kind == EventKind::Fault {
                 // Re-homing and fault-pressure accounting see every
                 // class, with its state current, in the scan.
-                if parking.parked > 0 {
+                if !parking.is_empty() {
                     parking.unpark_all(quanta, q, &mut cohorts, titles, &mut woken);
                     rejoin(&mut active, &mut woken);
                 }
@@ -1049,86 +1153,46 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                 }
             }
         }
-        if active.is_empty() && parking.parked == 0 {
-            // Idle fast-forward: jump to the quantum boundary of the
-            // next calendar event (or the ceiling) — the boundary the
-            // oracle's q-at-a-time idle ticking would reach. Fault
-            // events are calendar events, so the jump never skips one.
+        // Waiters whose segment is live now rejoin the scan before
+        // anything reads it.
+        if parking.waiters > 0 {
+            parking.wake_waiters(quanta, q, &mut cohorts, titles, &mut woken);
+            rejoin(&mut active, &mut woken);
+        }
+        // Idle fast-forward: with nothing scanned, no steady download,
+        // and no fill in flight for a parked waiter to wait behind, no
+        // quantum does anything until the next calendar event or waiter
+        // wake. Jump to its quantum boundary (or the ceiling), the
+        // boundary the oracle's q-at-a-time ticking would reach. Fault
+        // events are calendar events, so the jump never skips one.
+        if active.is_empty()
+            && parking.steady == 0
+            && (parking.waiters == 0
+                || (edges.iter().all(|e| e.fills.is_empty())
+                    && shields.iter().all(|s| s.fills.is_empty())))
+        {
             let ceiling = quantized_jump(now, load.max_ticks, q);
-            now = match cal.next_tick() {
+            let mut target = match cal.next_tick() {
                 Some(t) => quantized_jump(now, t, q).min(ceiling),
                 None => ceiling,
             };
+            if let Some(wake) = parking.next_waiter_wake() {
+                target = target.min(now.saturating_add((wake - quanta).saturating_mul(q)));
+            }
+            quanta += (target - now) / q;
+            now = target;
             continue;
         }
         // Fault pressure this quantum: anything down, flapping, or
-        // running degraded. Gates the fast-forward paths and attributes
-        // rebuffer accounting; always `false` on a plan-free run.
+        // running degraded. Attributes rebuffer accounting and fixes
+        // the regime of the cohorts that park this quantum; always
+        // `false` on a plan-free run.
         let fault_active = faulted
             && (flap_down
                 || edge_up.iter().any(|&u| !u)
                 || shield_up.iter().any(|&u| !u)
                 || origin_scale != 1.0
                 || edge_scale.iter().any(|&s| s != 1.0));
-        // Publish fast-forward: when every active cohort is a caught-up
-        // live viewer (started, pending, its segment not yet published)
-        // and no origin fill is in flight, nothing can change before the
-        // next publish, arrival, or departure. Apply the skipped
-        // quanta's playout drain and publish-wait accrual analytically
-        // — exact, because both are integer-valued f64 arithmetic — and
-        // jump. This is what turns a 400-tick publish pace into
-        // O(download quanta) work per segment instead of O(pace).
-        if let Some(l) = p.live {
-            // Under fault pressure the per-quantum path stays
-            // authoritative (degraded links and parked classes change
-            // what a quantum does), so the jump is gated off. A cohort
-            // caught up on its *own* title gates on that title's
-            // publish clock; for a single title this is exactly the
-            // pre-catalog condition (`seg > live` forces the published
-            // prefix to be strictly shorter than the title).
-            let idle_until_publish = !fault_active
-                && parking.parked == 0
-                && edges.iter().all(|e| e.fills.is_empty())
-                && shields.iter().all(|s| s.fills.is_empty())
-                && active.iter().all(|&cid| {
-                    let c = &cohorts[cid as usize];
-                    let s = &c.state;
-                    s.started
-                        && s.pending_request
-                        && s.seg as u64 > l.live_seq(now, seg_counts[c.title as usize])
-                });
-            if idle_until_publish {
-                let ceiling = quantized_jump(now, load.max_ticks, q);
-                // The earliest next publish any active class waits on.
-                let next_pub = active
-                    .iter()
-                    .map(|&cid| {
-                        let nseg = seg_counts[cohorts[cid as usize].title as usize];
-                        l.publish_tick(l.live_seq(now, nseg) + 1)
-                    })
-                    .min()
-                    .expect("active is nonempty here");
-                let mut target = quantized_jump(now, next_pub.max(now + 1), q);
-                if let Some(t) = cal.next_tick() {
-                    target = target.min(quantized_jump(now, t, q));
-                }
-                target = target.min(ceiling);
-                let skipped = (target - now) / q;
-                if skipped > 0 {
-                    for &cid in active.iter() {
-                        let c = &mut cohorts[cid as usize];
-                        let n = c.n;
-                        let s = &mut c.state;
-                        publish_wait_ticks += skipped * q * n;
-                        if s.playing {
-                            drain_playout(s, skipped * q);
-                        }
-                    }
-                    now = target;
-                    continue;
-                }
-            }
-        }
         let mut progressed = false;
 
         // Live DVR-window maintenance: segments that left the window
@@ -1321,9 +1385,9 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             }
             let s = &c.state;
             let will_download = if s.pending_request {
-                // Publish gate first: a caught-up live-edge cohort (the
-                // common case, most quanta) answers without touching the
-                // ABR or the cache index.
+                // Publish gate first: a waiter whose segment is not
+                // live yet answers without touching the ABR or the
+                // cache index.
                 let l = p.live.expect("pending only in live mode");
                 s.seg as u64 <= l.live_seq(now, seg_counts[c.title as usize]) && {
                     let rung = pick_rung(s, &titles[c.title as usize]);
@@ -1348,7 +1412,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
         }
         // Parked cohorts download this quantum like any other; those
         // that may complete now rejoin the scan before it runs.
-        if parking.parked > 0 {
+        if parking.steady > 0 {
             progressed = true;
             parking.log(quanta, &drain);
             parking.wake_due(quanta, q, &mut cohorts, titles, &mut woken);
@@ -1377,22 +1441,10 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             if !edge_up[edge] {
                 // Stranded: every edge is down, failover had nowhere to
                 // go. Playout keeps draining — members stall in place,
-                // all of it fault-attributed — but no request, fill,
-                // or download can move until a restart re-homes.
-                if s.playing {
-                    s.buffer_ticks -= step;
-                    if s.buffer_ticks < 0.0 {
-                        if !s.in_rebuffer {
-                            s.in_rebuffer = true;
-                            s.rebuffer_events += 1;
-                            s.fault_rebuffers += 1;
-                        }
-                        s.buffer_ticks = 0.0;
-                    }
-                }
-                if s.in_rebuffer {
-                    s.fault_rebuffer_ticks += q;
-                }
+                // all of it fault-attributed (an edge is down) — but no
+                // request, fill, or download can move until a restart
+                // re-homes.
+                play_quantum(s, q, fault_active);
                 continue;
             }
             let e = &mut edges[edge];
@@ -1429,24 +1481,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                     s.pending_request = true;
                 }
             }
-            // Playout drains while the next segment downloads (or while
-            // the class waits on a fill or the live edge).
-            if s.playing {
-                s.buffer_ticks -= step;
-                if s.buffer_ticks < 0.0 {
-                    if !s.in_rebuffer {
-                        s.in_rebuffer = true;
-                        s.rebuffer_events += 1;
-                        if fault_active {
-                            s.fault_rebuffers += 1;
-                        }
-                    }
-                    s.buffer_ticks = 0.0;
-                }
-            }
-            if fault_active && s.in_rebuffer {
-                s.fault_rebuffer_ticks += q;
-            }
+            play_quantum(s, q, fault_active);
             // A segment chosen but not yet requested: the live edge
             // had not published it. Re-check the window now.
             if s.pending_request {
@@ -1525,6 +1560,10 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             if s.remaining_bytes > completion_eps(entry.bytes as f64) {
                 continue;
             }
+            #[cfg(test)]
+            {
+                completions += 1;
+            }
             // Segment complete at the end of this quantum — for every
             // member at once (the class shares one download trajectory).
             let end = now + q;
@@ -1600,21 +1639,43 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             }
             s.fetch_start = end;
         }
-        // Finished classes leave the scan for good; steady ones park.
-        let park_now = parkable && !fault_active;
+        // Finished classes leave the scan for good; steady downloaders
+        // and publish waiters park under this quantum's fault regime.
+        debug_assert!(
+            parking.is_empty() || parking.fault == fault_active,
+            "fault pressure changed under parked cohorts"
+        );
+        parking.fault = fault_active;
         active.retain(|&cid| {
             let c = &mut cohorts[cid as usize];
             let s = &c.state;
             if c.done {
                 return false;
             }
-            let steady =
-                park_now && edge_up[c.edge] && s.started && !s.waiting && !s.pending_request;
-            if steady {
-                let eps = segment_eps(titles, c);
-                parking.park(c, cid, quanta, eps, d_max);
+            if !edge_up[c.edge] || !s.started || s.waiting {
+                return true;
             }
-            !steady
+            if s.pending_request {
+                // Not live next quantum, or it would not be pending:
+                // wake at the first quantum that reaches the publish.
+                let l = p.live.expect("pending only in live mode");
+                let publish = l.publish_tick(s.seg as u64);
+                let wake = quanta + (publish - now).div_ceil(q);
+                if wake > quanta + 1 {
+                    parking.park_waiter(c, cid, quanta, wake);
+                    return false;
+                }
+                return true;
+            }
+            // One quantum's drain on this edge never exceeds this; an
+            // unbounded drain completes every download in one quantum.
+            let d_max = (p.edge_capacity * edge_scale[c.edge]).min(p.per_session) * step;
+            if !d_max.is_finite() {
+                return true;
+            }
+            let eps = segment_eps(titles, c);
+            parking.park(c, cid, quanta, eps, d_max);
+            false
         });
         // Pass-set entries only bridge a fill's completion to its
         // waiters' wake within the quantum; clear them so an admission
@@ -1651,10 +1712,11 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             // segment publishes — including the final one, which may
             // have gone live this very quantum without being consumed
             // yet.
-            let waiters_due = active.iter().any(|&cid| {
-                let c = &cohorts[cid as usize];
-                edge_up[c.edge] && c.state.pending_request
-            });
+            let waiters_due = parking.waiters > 0
+                || active.iter().any(|&cid| {
+                    let c = &cohorts[cid as usize];
+                    edge_up[c.edge] && c.state.pending_request
+                });
             let departures_due = cal.departure_pending(&cohorts);
             if !faults_due && !publishes_due && !waiters_due && !departures_due {
                 break;
@@ -1674,7 +1736,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
     let live = LiveStats {
         mean_latency_ticks: acc.latency_sum as f64 / acc.fetched.max(1) as f64,
         max_latency_ticks: acc.latency_max,
-        publish_wait_ticks,
+        publish_wait_ticks: publish_wait_ticks + parking.publish_wait_ticks,
         window_skips,
     };
     let restarts = res.edge_restarts + res.shield_restarts;
@@ -1695,6 +1757,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
         #[cfg(test)]
         cost: EngineCost {
             touches,
+            completions,
             drain_log_len: parking.log.iter().map(Vec::len).max().unwrap_or(0),
         },
     }
@@ -1704,9 +1767,11 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
 mod tests {
     use super::*;
     use crate::edge::{EdgeTierConfig, Sharding};
+    use crate::fault::{FaultPlan, RestartMode};
     use crate::ladder::{encode_ladder, LadderConfig};
-    use crate::serve::{oracle, ChurnConfig, LiveConfig, ServerConfig};
+    use crate::serve::{oracle, CdnConfig, ChurnConfig, LiveConfig, ServerConfig};
     use crate::session::JoinMode;
+    use crate::shield::AdmissionPolicy;
     use proptest::prelude::*;
     use video::synth::SequenceGen;
 
@@ -2102,6 +2167,101 @@ mod tests {
                 ..Default::default()
             };
             assert_matches_oracle(&m, &load, &TierParams::tier(&tier));
+        }
+    }
+
+    #[test]
+    fn composed_live_faults_cost_about_two_touches_per_segment() {
+        // E25's composed scenario: a live flash crowd through 4 edges
+        // and 2 shields while an edge crashes, the origin flaps and a
+        // shield crashes. Steady downloaders and publish waiters park
+        // under fault pressure too, so a cohort costs a couple of
+        // touches per segment it completes rather than one per quantum.
+        let frames = SequenceGen::new(7).panning_sequence(64, 48, 48, 1, 1);
+        let cfg = LadderConfig {
+            targets_bits_per_frame: vec![2_000.0, 6_000.0, 18_000.0],
+            gop: 4,
+            ..Default::default()
+        };
+        let m = encode_ladder("flash", &frames, &cfg).unwrap().manifest;
+        let cdn = CdnConfig {
+            tier: EdgeTierConfig {
+                cache_capacity_bytes: usize::MAX,
+                ..Default::default()
+            },
+            shields: 2,
+            shield_cache_capacity_bytes: usize::MAX,
+            shield_capacity_bytes_per_tick: 16_000.0,
+            admission: AdmissionPolicy::AdmitAll,
+        };
+        let plan = FaultPlan::new(0xFA11)
+            .crash_edge(0, 2_400, Some((4_400, RestartMode::Cold)))
+            .flap_origin(2_400, 3_600)
+            .crash_shield(0, 2_600, Some((4_600, RestartMode::Cold)));
+        let load = LoadConfig {
+            sessions: 200,
+            stagger_ticks: 1_000,
+            seed: 1,
+            churn: ChurnConfig {
+                flash_sessions: 2_000,
+                flash_at_tick: 2_000,
+                flash_ramp_ticks: 1_000,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let p = TierParams::cdn(&cdn)
+            .with_live(&LiveConfig::default(), &m)
+            .with_faults(&plan);
+        let run = run_cohorts(std::slice::from_ref(&m), &load, &p);
+        assert_eq!(run.report.completed, 2_200, "every viewer finishes");
+        assert_eq!(run.resilience.edge_crashes, 1);
+        assert!(run.live.publish_wait_ticks > 0, "viewers catch up");
+        let cost = run.cost;
+        assert!(
+            cost.touches < 4 * cost.completions,
+            "{} cohort touches for {} segment completions",
+            cost.touches,
+            cost.completions
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-step playout a parked cohort takes is exactly the
+        /// quantum body's playout and fault accrual, run once per
+        /// skipped quantum.
+        #[test]
+        fn drain_playout_matches_the_quantum_body(
+            buffer in 0u64..120,
+            quanta in 0u64..40,
+            q in 1u64..9,
+            playing in any::<bool>(),
+            in_rebuffer in any::<bool>(),
+            fault in any::<bool>(),
+        ) {
+            let mut a = test_state();
+            a.buffer_ticks = buffer as f64;
+            a.playing = playing;
+            a.in_rebuffer = in_rebuffer;
+            a.fault_rebuffers = 1;
+            a.fault_rebuffer_ticks = 8;
+            let mut b = a.clone();
+            drain_playout(&mut a, quanta, q, fault);
+            for _ in 0..quanta {
+                play_quantum(&mut b, q, fault);
+            }
+            let fields = |s: &CohortState| {
+                (
+                    s.buffer_ticks.to_bits(),
+                    s.in_rebuffer,
+                    s.rebuffer_events,
+                    s.fault_rebuffers,
+                    s.fault_rebuffer_ticks,
+                )
+            };
+            prop_assert_eq!(fields(&a), fields(&b));
         }
     }
 
