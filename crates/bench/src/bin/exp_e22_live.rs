@@ -22,15 +22,20 @@
 //!   waiters coalesce onto that one fill. All three bars are asserted
 //!   before anything is written.
 //!
-//! All numbers are seed-deterministic (asserted by re-running a level).
+//! Every metric but `wall_ms` is seed-deterministic (asserted by
+//! re-running a level). `wall_ms` is the host time of each entry's
+//! simulation: one run, the calm and flashed single-origin pair, or the
+//! whole curve behind a knee.
+
+use std::time::Instant;
 
 use mmbench::banner;
-use mmbench::perf::{PerfEntry, PerfReport};
+use mmbench::perf::{ms_since, PerfEntry, PerfReport};
 use mmstream::edge::EdgeTierConfig;
 use mmstream::ladder::{encode_ladder, LadderConfig};
 use mmstream::serve::{
-    live_edge_capacity_curve, live_edge_capacity_knee, simulate_live_edge_load, simulate_live_load,
-    ChurnConfig, LiveConfig, LoadConfig, ServerConfig,
+    live_edge_capacity_knee, simulate_live_edge_load, simulate_live_load, ChurnConfig, LiveConfig,
+    LoadConfig, ServerConfig,
 };
 use mmstream::session::JoinMode;
 use video::synth::SequenceGen;
@@ -75,7 +80,18 @@ fn main() {
             prewarm: false,
             ..Default::default()
         };
-        let curve = live_edge_capacity_curve(&manifest, &tier, &live_edge_join, &counts, &base);
+        // The live capacity curve, one timed point at a time.
+        let t0 = Instant::now();
+        let (curve, point_ms): (Vec<_>, Vec<f64>) = counts
+            .iter()
+            .map(|&sessions| {
+                let t = Instant::now();
+                let load = LoadConfig { sessions, ..base };
+                let r = simulate_live_edge_load(&manifest, &tier, &live_edge_join, &load);
+                (r, ms_since(t))
+            })
+            .unzip();
+        let wall_ms = ms_since(t0);
         let knee = live_edge_capacity_knee(&curve, 0.05).expect("tier sustains some live level");
         match edges {
             1 => knee_1 = knee,
@@ -86,10 +102,11 @@ fn main() {
         report.push(
             PerfEntry::new(&format!("live_knee_{edges}_edges"))
                 .metric("edges", edges as f64)
-                .metric("knee_sessions", knee as f64),
+                .metric("knee_sessions", knee as f64)
+                .metric("wall_ms", wall_ms),
         );
         if edges == 4 {
-            for r in &curve {
+            for (r, &point_ms) in curve.iter().zip(&point_ms) {
                 report.push(
                     PerfEntry::new(&format!(
                         "live_edge4_load_{}_sessions",
@@ -98,7 +115,8 @@ fn main() {
                     .metric("sessions", r.edge.load.sessions as f64)
                     .metric("rebuffer_fraction", r.edge.load.rebuffer_fraction)
                     .metric("mean_live_latency_ticks", r.live.mean_latency_ticks)
-                    .metric("hit_rate", r.edge.hit_rate),
+                    .metric("hit_rate", r.edge.hit_rate)
+                    .metric("wall_ms", point_ms),
                 );
             }
         }
@@ -120,6 +138,7 @@ fn main() {
             join: JoinMode::DvrStart,
             ..Default::default()
         };
+        let t0 = Instant::now();
         let r = simulate_live_load(
             &manifest,
             &ServerConfig::default(),
@@ -129,6 +148,7 @@ fn main() {
                 ..base
             },
         );
+        let wall_ms = ms_since(t0);
         assert_eq!(r.load.completed, 200, "every DVR viewer reaches the end");
         println!(
             "  dvr {dvr:>2} segments: mean latency {:>6.0} ticks, max {:>5}",
@@ -139,7 +159,8 @@ fn main() {
                 .metric("dvr_window_segments", dvr as f64)
                 .metric("mean_live_latency_ticks", r.live.mean_latency_ticks)
                 .metric("max_live_latency_ticks", r.live.max_latency_ticks as f64)
-                .metric("rebuffer_fraction", r.load.rebuffer_fraction),
+                .metric("rebuffer_fraction", r.load.rebuffer_fraction)
+                .metric("wall_ms", wall_ms),
         );
         assert!(
             r.live.mean_latency_ticks >= last_mean,
@@ -166,14 +187,18 @@ fn main() {
         ..flashed
     };
     let server = ServerConfig::default();
+    let t0 = Instant::now();
     let single_calm = simulate_live_load(&manifest, &server, &live_edge_join, &calm);
     let single_flash = simulate_live_load(&manifest, &server, &live_edge_join, &flashed);
+    let single_ms = ms_since(t0);
     let tier = EdgeTierConfig {
         edges: 4,
         prewarm: false,
         ..Default::default()
     };
+    let t0 = Instant::now();
     let edge_flash = simulate_live_edge_load(&manifest, &tier, &live_edge_join, &flashed);
+    let edge_ms = ms_since(t0);
     println!(
         "  single origin, calm:    rebuffer {:>5.1}% ({} sessions)",
         100.0 * single_calm.load.rebuffer_fraction,
@@ -212,7 +237,8 @@ fn main() {
         PerfEntry::new("flash_crowd_single_origin")
             .metric("sessions", single_flash.load.sessions as f64)
             .metric("rebuffer_fraction", single_flash.load.rebuffer_fraction)
-            .metric("calm_rebuffer_fraction", single_calm.load.rebuffer_fraction),
+            .metric("calm_rebuffer_fraction", single_calm.load.rebuffer_fraction)
+            .metric("wall_ms", single_ms),
     );
     report.push(
         PerfEntry::new("flash_crowd_4_edges")
@@ -224,7 +250,8 @@ fn main() {
             .metric(
                 "mean_live_latency_ticks",
                 edge_flash.live.mean_latency_ticks,
-            ),
+            )
+            .metric("wall_ms", edge_ms),
     );
 
     // ---- Determinism gate: an identical re-run must agree exactly.

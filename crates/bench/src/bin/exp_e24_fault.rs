@@ -19,11 +19,14 @@
 //!   that edge's keys (a key whose owner survives never moves), and
 //!   the worst single-edge remap stays ≤ 2/N of the keyspace.
 //!
-//! Everything is seed-deterministic; there is no wall clock anywhere
-//! in the measured quantities.
+//! Every metric but `wall_ms` is seed-deterministic. `wall_ms` is the
+//! host time of each entry's phase: one knee bisection, the composed
+//! run, or the whole remap sweep.
+
+use std::time::Instant;
 
 use mmbench::banner;
-use mmbench::perf::{PerfEntry, PerfReport};
+use mmbench::perf::{ms_since, PerfEntry, PerfReport};
 use mmstream::edge::{EdgeTierConfig, HashRing};
 use mmstream::fault::{FaultPlan, RestartMode};
 use mmstream::ladder::{encode_ladder, LadderConfig};
@@ -73,8 +76,10 @@ fn main() {
         for edge in 0..lost {
             plan = plan.crash_edge(edge, 0, None);
         }
+        let t0 = Instant::now();
         let knee = faulted_edge_capacity_knee_bisect(&manifest, &tier, &plan, &counts, &base, 0.05)
             .expect("some level must survive");
+        let wall_ms = ms_since(t0);
         println!("  {lost} edges lost: knee {knee} sessions");
         assert!(
             knee <= prev_knee,
@@ -95,7 +100,8 @@ fn main() {
             PerfEntry::new(&format!("knee_lost_{lost}"))
                 .metric("edges_lost", lost as f64)
                 .metric("edges_surviving", (8 - lost) as f64)
-                .metric("knee_sessions", knee as f64),
+                .metric("knee_sessions", knee as f64)
+                .metric("wall_ms", wall_ms),
         );
     }
 
@@ -132,7 +138,9 @@ fn main() {
     let plan = FaultPlan::new(0xFA11)
         .crash_edge(0, 2_400, Some((4_400, RestartMode::Cold)))
         .flap_origin(2_400, 3_600);
+    let t0 = Instant::now();
     let r = simulate_live_edge_load_faulted(&live_manifest, &flash_tier, &live, &plan, &load);
+    let wall_ms = ms_since(t0);
     let res = r.resilience;
     let sessions = r.edge.load.sessions;
     let impacted = res.sessions_fault_rebuffered as f64 / sessions as f64;
@@ -177,7 +185,8 @@ fn main() {
             .metric("rewarm_fills", res.rewarm_fills as f64)
             .metric("mean_restore_ticks", res.mean_restore_ticks)
             .metric("completed", r.edge.load.completed as f64)
-            .metric("rebuffer_fraction", r.edge.load.rebuffer_fraction),
+            .metric("rebuffer_fraction", r.edge.load.rebuffer_fraction)
+            .metric("wall_ms", wall_ms),
     );
     // Determinism gate: the composed run must replay exactly.
     let replay = simulate_live_edge_load_faulted(&live_manifest, &flash_tier, &live, &plan, &load);
@@ -188,6 +197,7 @@ fn main() {
 
     // ---- The failover ring's remap bound, measured over the keyspace.
     println!("\nfailover ring remap (8 edges, 128 vnodes, 100k keys):");
+    let t0 = Instant::now();
     let ring = HashRing::new(8, 128, 0x51A6);
     let keys: Vec<u64> = (0..100_000u64).map(splitmix64).collect();
     let mut worst_fraction = 0.0f64;
@@ -211,6 +221,7 @@ fn main() {
         moved_total += moved;
         worst_fraction = worst_fraction.max(moved as f64 / keys.len() as f64);
     }
+    let wall_ms = ms_since(t0);
     let only_crashed_keys = if moved_total == 0 {
         1.0
     } else {
@@ -233,7 +244,8 @@ fn main() {
             .metric("edges", 8.0)
             .metric("keys", keys.len() as f64)
             .metric("only_crashed_keys", only_crashed_keys)
-            .metric("worst_remap_fraction", worst_fraction),
+            .metric("worst_remap_fraction", worst_fraction)
+            .metric("wall_ms", wall_ms),
     );
 
     report

@@ -30,7 +30,7 @@
 use std::time::Instant;
 
 use mmbench::banner;
-use mmbench::perf::{PerfEntry, PerfReport};
+use mmbench::perf::{ms_since, PerfEntry, PerfReport};
 use mmstream::catalog::Catalog;
 use mmstream::edge::EdgeTierConfig;
 use mmstream::fault::{FaultPlan, RestartMode};
@@ -42,10 +42,6 @@ use mmstream::serve::{
 use mmstream::session::JoinMode;
 use mmstream::shield::{AdmissionPolicy, TinyLfuConfig};
 use video::synth::SequenceGen;
-
-fn ms_since(t0: Instant) -> f64 {
-    t0.elapsed().as_secs_f64() * 1e3
-}
 
 fn main() {
     banner(

@@ -4,9 +4,12 @@
 //! (`BENCH_*.json` at the workspace root). This module is the writer: a
 //! tiny dependency-free JSON emitter ([`PerfReport`]) plus a wall-clock
 //! measurement loop ([`median_ns_per_iter`]) shared by the `exp_e19_perf`
-//! binary and any future perf regenerators. The format is deliberately
-//! flat — one named entry per kernel, each a map of metric name to
-//! number — so CI can smoke-parse it and humans can diff it.
+//! binary and any future perf regenerators. It is also the reader
+//! ([`parse_report`], [`deterministic_diff`]) behind the `bench_diff`
+//! binary, which fails when a regenerated report moves any field that
+//! does not measure the host. The format is deliberately flat — one
+//! named entry per kernel, each a map of metric name to number — so CI
+//! can smoke-parse it and humans can diff it.
 
 use signal::dct1d::Dct1d;
 use std::time::{Duration, Instant};
@@ -174,6 +177,253 @@ fn json_number(v: f64) -> String {
     }
 }
 
+/// Milliseconds of host time since `t0`: the `wall_ms` of a phase.
+#[must_use]
+pub fn ms_since(t0: Instant) -> f64 {
+    t0.elapsed().as_secs_f64() * 1e3
+}
+
+/// Metrics that measure the host, not the code: they may move between
+/// runs, and [`deterministic_diff`] skips them. So does the entry named
+/// [`HOST_ENTRY`]. Every other metric of a `BENCH_*.json` is
+/// deterministic.
+pub const HOST_METRICS: [&str; 3] = ["wall_ms", "sessions_per_second", "speedup_vs_330k_baseline"];
+
+/// The entry that records the host a report ran on.
+pub const HOST_ENTRY: &str = "host";
+
+/// Parses a document in [`PerfReport::to_json`]'s format back into its
+/// entries (fields other than `entries`, `name` and `metrics` are
+/// skipped).
+///
+/// # Errors
+///
+/// Describes the first byte that does not fit the format.
+pub fn parse_report(json: &str) -> Result<Vec<PerfEntry>, String> {
+    let mut p = Parser { s: json, i: 0 };
+    let mut entries = Vec::new();
+    p.object(|p, key| {
+        if key != "entries" {
+            return p.skip_value();
+        }
+        p.array(|p| {
+            let mut e = PerfEntry::new("");
+            p.object(|p, key| match key.as_str() {
+                "name" => {
+                    e.name = p.string()?;
+                    Ok(())
+                }
+                "metrics" => p.object(|p, metric| {
+                    e.metrics.push((metric, p.number()?));
+                    Ok(())
+                }),
+                _ => p.skip_value(),
+            })?;
+            entries.push(e);
+            Ok(())
+        })
+    })?;
+    p.ws();
+    if p.i != p.s.len() {
+        return Err(p.error("trailing bytes"));
+    }
+    Ok(entries)
+}
+
+/// Every difference between two reports outside [`HOST_METRICS`] and
+/// [`HOST_ENTRY`], one line each: an entry or a metric that only one
+/// side has, or a value that changed. Entries match by name; their
+/// order does not matter.
+#[must_use]
+pub fn deterministic_diff(old: &[PerfEntry], new: &[PerfEntry]) -> Vec<String> {
+    fn find<'a>(entries: &'a [PerfEntry], name: &str) -> Option<&'a PerfEntry> {
+        entries.iter().find(|e| e.name == name)
+    }
+    let checked = |e: &&PerfEntry| e.name != HOST_ENTRY;
+    let mut diffs = Vec::new();
+    for o in old.iter().filter(checked) {
+        let Some(n) = find(new, &o.name) else {
+            diffs.push(format!("{}: entry removed", o.name));
+            continue;
+        };
+        let value = |e: &PerfEntry, k: &str| e.metrics.iter().find(|(m, _)| m == k).map(|m| m.1);
+        let keys = o.metrics.iter().chain(&n.metrics).map(|(k, _)| k.as_str());
+        let mut seen: Vec<&str> = Vec::new();
+        for k in keys.filter(|k| !HOST_METRICS.contains(k)) {
+            if seen.contains(&k) {
+                continue;
+            }
+            seen.push(k);
+            let (a, b) = (value(o, k), value(n, k));
+            if a != b {
+                let show = |v: Option<f64>| v.map_or("absent".to_string(), |v| v.to_string());
+                diffs.push(format!("{}.{k}: {} -> {}", o.name, show(a), show(b)));
+            }
+        }
+    }
+    for n in new.iter().filter(checked) {
+        if find(old, &n.name).is_none() {
+            diffs.push(format!("{}: entry added", n.name));
+        }
+    }
+    diffs
+}
+
+/// A recursive-descent reader for the JSON subset the writer emits
+/// (objects, arrays, strings, numbers, literals).
+struct Parser<'a> {
+    s: &'a str,
+    i: usize,
+}
+
+impl Parser<'_> {
+    fn error(&self, what: &str) -> String {
+        format!("{what} at byte {}", self.i)
+    }
+
+    fn ws(&mut self) {
+        while self
+            .s
+            .as_bytes()
+            .get(self.i)
+            .is_some_and(u8::is_ascii_whitespace)
+        {
+            self.i += 1;
+        }
+    }
+
+    fn peek(&mut self) -> Option<u8> {
+        self.ws();
+        self.s.as_bytes().get(self.i).copied()
+    }
+
+    fn eat(&mut self, c: u8) -> Result<(), String> {
+        if self.peek() != Some(c) {
+            return Err(self.error(&format!("expected '{}'", c as char)));
+        }
+        self.i += 1;
+        Ok(())
+    }
+
+    /// Parses `{ "key": value, ... }`, handing each key to `value`,
+    /// which must consume the value.
+    fn object<F>(&mut self, mut value: F) -> Result<(), String>
+    where
+        F: FnMut(&mut Self, String) -> Result<(), String>,
+    {
+        self.eat(b'{')?;
+        if self.peek() == Some(b'}') {
+            self.i += 1;
+            return Ok(());
+        }
+        loop {
+            let key = self.string()?;
+            self.eat(b':')?;
+            value(self, key)?;
+            if self.peek() == Some(b',') {
+                self.i += 1;
+            } else {
+                return self.eat(b'}');
+            }
+        }
+    }
+
+    /// Parses `[ item, ... ]`, calling `item` once per element.
+    fn array<F>(&mut self, mut item: F) -> Result<(), String>
+    where
+        F: FnMut(&mut Self) -> Result<(), String>,
+    {
+        self.eat(b'[')?;
+        if self.peek() == Some(b']') {
+            self.i += 1;
+            return Ok(());
+        }
+        loop {
+            item(self)?;
+            if self.peek() == Some(b',') {
+                self.i += 1;
+            } else {
+                return self.eat(b']');
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.eat(b'"')?;
+        let mut out = String::new();
+        loop {
+            let rest = &self.s[self.i..];
+            let mut chars = rest.chars();
+            let c = chars
+                .next()
+                .ok_or_else(|| self.error("unterminated string"))?;
+            self.i += c.len_utf8();
+            match c {
+                '"' => return Ok(out),
+                '\\' => {
+                    let e = chars
+                        .next()
+                        .ok_or_else(|| self.error("unterminated escape"))?;
+                    self.i += 1;
+                    match e {
+                        '"' | '\\' | '/' => out.push(e),
+                        'n' => out.push('\n'),
+                        't' => out.push('\t'),
+                        'r' => out.push('\r'),
+                        'u' => {
+                            let hex = rest
+                                .get(2..6)
+                                .ok_or_else(|| self.error("short \\u escape"))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| self.error("bad \\u escape"))?;
+                            out.push(
+                                char::from_u32(code).ok_or_else(|| self.error("bad \\u escape"))?,
+                            );
+                            self.i += 4;
+                        }
+                        _ => return Err(self.error("unknown escape")),
+                    }
+                }
+                c => out.push(c),
+            }
+        }
+    }
+
+    fn number(&mut self) -> Result<f64, String> {
+        self.ws();
+        let start = self.i;
+        while self
+            .s
+            .as_bytes()
+            .get(self.i)
+            .is_some_and(|&c| c.is_ascii_digit() || b"+-.eE".contains(&c))
+        {
+            self.i += 1;
+        }
+        self.s[start..self.i]
+            .parse()
+            .map_err(|_| self.error("expected a number"))
+    }
+
+    fn skip_value(&mut self) -> Result<(), String> {
+        match self.peek() {
+            Some(b'{') => self.object(|p, _| p.skip_value()),
+            Some(b'[') => self.array(Self::skip_value),
+            Some(b'"') => self.string().map(drop),
+            Some(b't' | b'f' | b'n') => {
+                for lit in ["true", "false", "null"] {
+                    if self.s[self.i..].starts_with(lit) {
+                        self.i += lit.len();
+                        return Ok(());
+                    }
+                }
+                Err(self.error("unknown literal"))
+            }
+            _ => self.number().map(drop),
+        }
+    }
+}
+
 /// Median wall-clock nanoseconds of one invocation of `f`, using the
 /// same sizing strategy as the vendored criterion harness: double the
 /// iteration count until a sample lasts ~10 ms, then take the median of
@@ -241,6 +491,68 @@ mod tests {
     #[should_panic(expected = "not finite")]
     fn non_finite_metric_panics() {
         let _ = PerfEntry::new("x").metric("bad", f64::NAN);
+    }
+
+    #[test]
+    fn reports_parse_back_from_their_json() {
+        let mut r = PerfReport::new("r", "t");
+        r.push(
+            PerfEntry::new("a \"quoted\" \u{1} name")
+                .metric("knee", 8_000.0)
+                .metric("frac", 0.125)
+                .metric("neg", -3.5e-7),
+        );
+        r.push(PerfEntry::new("empty"));
+        let back = parse_report(&r.to_json()).expect("the writer's output parses");
+        assert_eq!(back.len(), 2);
+        assert_eq!(back[0].name, r.entries[0].name);
+        assert_eq!(
+            back[0].metrics,
+            vec![
+                ("knee".to_string(), 8_000.0),
+                ("frac".to_string(), 0.125),
+                ("neg".to_string(), 0.0),
+            ],
+            "values round-trip at the writer's three decimals"
+        );
+        assert!(back[1].metrics.is_empty());
+        assert!(parse_report("{\"entries\": [}").is_err());
+        assert!(parse_report("{\"entries\": []} x").is_err());
+    }
+
+    #[test]
+    fn diff_flags_deterministic_changes_and_skips_host_fields() {
+        let old = vec![
+            PerfEntry::new("host").metric("host_cpus", 1.0),
+            PerfEntry::new("knee")
+                .metric("knee_sessions", 8_000.0)
+                .metric("wall_ms", 12.0)
+                .metric("sessions_per_second", 1e6),
+            PerfEntry::new("gone").metric("x", 1.0),
+        ];
+        let same = vec![
+            PerfEntry::new("host").metric("host_cpus", 4.0),
+            PerfEntry::new("knee")
+                .metric("knee_sessions", 8_000.0)
+                .metric("speedup_vs_330k_baseline", 3.0),
+            PerfEntry::new("gone").metric("x", 1.0),
+        ];
+        assert!(deterministic_diff(&old, &same).is_empty());
+        let moved = vec![
+            PerfEntry::new("knee")
+                .metric("knee_sessions", 7_000.0)
+                .metric("extra", 1.0),
+            PerfEntry::new("new").metric("y", 2.0),
+        ];
+        assert_eq!(
+            deterministic_diff(&old, &moved),
+            vec![
+                "knee.knee_sessions: 8000 -> 7000",
+                "knee.extra: absent -> 1",
+                "gone: entry removed",
+                "new: entry added",
+            ]
+        );
     }
 
     #[test]
